@@ -1,7 +1,7 @@
 # Tier-1 gate: everything `make check` runs must stay green.
 GO ?= go
 
-.PHONY: all build check fmt vet staticcheck test race bench bench-scale bench-scale-profile bench-scale-smoke bench-rollouts bench-rollouts-profile memo-golden-smoke lane-race-smoke clean
+.PHONY: all build check fmt vet staticcheck test race fuzz-smoke bench bench-scale bench-scale-profile bench-scale-smoke bench-rollouts bench-rollouts-profile memo-golden-smoke lane-race-smoke clean
 
 all: build
 
@@ -12,7 +12,7 @@ build:
 # installed), the full suite under the race detector (the telemetry
 # hub and the insitu driver are concurrent by design), and a single-
 # iteration pass over the scale benchmarks so they cannot rot.
-check: fmt vet staticcheck race bench-scale-smoke memo-golden-smoke lane-race-smoke
+check: fmt vet staticcheck race fuzz-smoke bench-scale-smoke memo-golden-smoke lane-race-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -38,6 +38,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# fuzz-smoke runs the event-encoder fuzz target briefly beyond its seed
+# corpus: every generated event must encode byte-identically to the
+# encoding/json oracle and decode back.
+fuzz-smoke:
+	$(GO) test -run xxx -fuzz '^FuzzEncode$$' -fuzztime 10s ./internal/telemetry/
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .

@@ -438,8 +438,9 @@ Experiment cells run concurrently (bounded by -jobs); reports are
 byte-identical at any -jobs value. Ctrl-C cancels cleanly: partial
 output is flushed and the exit status is non-zero.
 
-serve exposes Prometheus metrics at /metrics and a JSON snapshot at
-/debug/telemetry while looping the selected experiment.
+serve exposes Prometheus metrics at /metrics, a JSON snapshot at
+/debug/telemetry and Go profiles at /debug/pprof/ while looping the
+selected experiment.
 
 search fans the cross product of its comma-separated axes across the
 campaign worker pool — one rollout per (scenario, policy) — and names

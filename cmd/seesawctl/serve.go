@@ -8,6 +8,7 @@
 //	seesawctl serve -addr 127.0.0.1:8077 -id fig4
 //	curl http://127.0.0.1:8077/metrics          # Prometheus text format
 //	curl http://127.0.0.1:8077/debug/telemetry  # JSON metrics + recent events
+//	go tool pprof http://127.0.0.1:8077/debug/pprof/profile?seconds=10
 package main
 
 import (
@@ -17,6 +18,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"time"
 
@@ -62,20 +64,6 @@ func runServe(ctx context.Context, args []string) int {
 		return 1
 	}
 
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := hub.Registry().WritePrometheus(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/debug/telemetry", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		if err := hub.WriteJSON(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-
 	o := bench.Options{Steps: *steps, Runs: *runs, BaseSeed: *seed, Jobs: *jobs, Telemetry: hub}
 	loopDone := make(chan struct{})
 	go func() {
@@ -99,10 +87,10 @@ func runServe(ctx context.Context, args []string) int {
 		}
 	}()
 
-	srv := &http.Server{Handler: mux}
+	srv := &http.Server{Handler: serveMux(hub)}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-	fmt.Fprintf(os.Stderr, "seesawctl serve: listening on http://%s (/metrics, /debug/telemetry)\n", ln.Addr())
+	fmt.Fprintf(os.Stderr, "seesawctl serve: listening on http://%s (/metrics, /debug/telemetry, /debug/pprof/)\n", ln.Addr())
 
 	select {
 	case err := <-serveErr:
@@ -123,6 +111,32 @@ func runServe(ctx context.Context, args []string) int {
 		fmt.Fprintln(os.Stderr, "seesawctl serve: interrupted")
 		return 130
 	}
+}
+
+// serveMux routes serve's endpoints: Prometheus text at /metrics, the
+// JSON metric snapshot plus recent events at /debug/telemetry, and the
+// Go runtime profiles under /debug/pprof/ (CPU, heap, goroutine, ...),
+// so a looping experiment can be profiled while it runs.
+func serveMux(hub *telemetry.Hub) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		if err := hub.Registry().WritePrometheus(w); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+	})
+	mux.HandleFunc("/debug/telemetry", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		if err := hub.WriteJSON(w); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }
 
 // discard swallows the experiment's table output; serve readers consume

@@ -91,8 +91,8 @@ func NewStateCacheBytes(maxBytes int64) *StateCache {
 }
 
 // SetTelemetry mirrors the cache's counters into the hub's metric
-// registry (rollout_trace_cache_{hits,misses,evictions}_total and the
-// rollout_trace_cache_bytes gauge). Call before the cache is shared;
+// registry (seesaw_trace_cache_{hits,misses,evictions}_total and the
+// seesaw_trace_cache_bytes gauge). Call before the cache is shared;
 // a nil hub is a no-op.
 func (c *StateCache) SetTelemetry(h *telemetry.Hub) {
 	if h == nil {
@@ -101,13 +101,13 @@ func (c *StateCache) SetTelemetry(h *telemetry.Hub) {
 	reg := h.Registry()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.hitsM = reg.Counter("rollout_trace_cache_hits_total",
+	c.hitsM = reg.Counter("seesaw_trace_cache_hits_total",
 		"JobState cache lookups served from a cached entry.").With()
-	c.missesM = reg.Counter("rollout_trace_cache_misses_total",
+	c.missesM = reg.Counter("seesaw_trace_cache_misses_total",
 		"JobState cache lookups that built (or joined a build of) a new entry.").With()
-	c.evictionsM = reg.Counter("rollout_trace_cache_evictions_total",
+	c.evictionsM = reg.Counter("seesaw_trace_cache_evictions_total",
 		"JobState cache entries dropped by the LRU byte bound.").With()
-	c.bytesM = reg.Gauge("rollout_trace_cache_bytes",
+	c.bytesM = reg.Gauge("seesaw_trace_cache_bytes",
 		"Accounted bytes of cached JobState precompute (noise traces dominate).").With()
 }
 

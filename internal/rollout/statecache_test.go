@@ -191,13 +191,13 @@ func TestStateCacheTelemetry(t *testing.T) {
 		name string
 		want float64
 	}{
-		{"rollout_trace_cache_hits_total", float64(st.Hits)},
-		{"rollout_trace_cache_misses_total", float64(st.Misses)},
-		{"rollout_trace_cache_evictions_total", float64(st.Evictions)},
-		{"rollout_trace_cache_bytes", float64(st.Bytes)},
+		{"seesaw_trace_cache_hits_total", float64(st.Hits)},
+		{"seesaw_trace_cache_misses_total", float64(st.Misses)},
+		{"seesaw_trace_cache_evictions_total", float64(st.Evictions)},
+		{"seesaw_trace_cache_bytes", float64(st.Bytes)},
 	} {
 		var got float64
-		if row.name == "rollout_trace_cache_bytes" {
+		if row.name == "seesaw_trace_cache_bytes" {
 			got = reg.Gauge(row.name, "").With().Value()
 		} else {
 			got = reg.Counter(row.name, "").With().Value()

@@ -10,10 +10,13 @@ import (
 	"fmt"
 )
 
-// Event is a structured telemetry record. Kind returns the stable type
-// tag used in the JSONL envelope; Decode dispatches on it.
+// Event is a structured telemetry record: one of the types in this
+// file. Kind returns the stable type tag used in the JSONL envelope;
+// Decode dispatches on it. appendData writes the JSON payload
+// (encode.go).
 type Event interface {
 	Kind() string
+	appendData(w jsonWriter) jsonWriter
 }
 
 // CapWritten records a RAPL cap write on one node (after clamping,
@@ -224,21 +227,6 @@ type TransferVolume struct {
 
 // Kind implements Event.
 func (TransferVolume) Kind() string { return "TransferVolume" }
-
-// envelope is the JSONL wire form: {"kind": "...", "data": {...}}.
-type envelope struct {
-	Kind string          `json:"kind"`
-	Data json.RawMessage `json:"data"`
-}
-
-// Encode renders an event as one JSONL line (without trailing newline).
-func Encode(e Event) ([]byte, error) {
-	data, err := json.Marshal(e)
-	if err != nil {
-		return nil, fmt.Errorf("telemetry: encode %s: %w", e.Kind(), err)
-	}
-	return json.Marshal(envelope{Kind: e.Kind(), Data: data})
-}
 
 // Decode parses one JSONL line back into its typed event.
 func Decode(line []byte) (Event, error) {

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -27,13 +28,17 @@ var allEvents = []Event{
 }
 
 // TestEncodeDecodeRoundTrip decodes every event type back to an
-// identical value — the property the JSONL stream consumers rely on.
+// identical value — the property the JSONL stream consumers rely on —
+// and holds the encoding to the encoding/json oracle's bytes.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for _, e := range allEvents {
 		t.Run(e.Kind(), func(t *testing.T) {
 			line, err := Encode(e)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if want, _ := oracleEncode(e); !bytes.Equal(line, want) {
+				t.Errorf("Encode = %s\nwant     %s", line, want)
 			}
 			// The wire form must be a single JSON object with the kind tag.
 			var env struct {

@@ -20,8 +20,9 @@ type Options struct {
 	// never blocks emitters: the oldest events are overwritten.
 	RingSize int
 	// Sink, when non-nil, receives every event as one JSONL line. Sink
-	// writes happen under the Hub's mutex; wrap slow writers in a
-	// bufio.Writer (Close flushes writers that implement Flush).
+	// writes happen under the Hub's mutex (events are encoded before
+	// it is taken); wrap slow writers in a bufio.Writer (Close flushes
+	// writers that implement Flush).
 	Sink io.Writer
 }
 
@@ -250,7 +251,10 @@ func (h *Hub) Registry() *Registry {
 // Emit records a structured event: into the ring, the sink (as JSONL)
 // and the per-kind counter. The counter child is pre-resolved and the
 // ring write is one fetch-add plus one pointer store, so emitters never
-// contend on a lock unless a sink is configured.
+// contend on a lock unless a sink is configured; even then the event is
+// encoded into a pooled buffer first and the lock covers only the
+// sink's Write. After a sink error every later event is counted as
+// dropped.
 func (h *Hub) Emit(e Event) {
 	if h == nil {
 		return
@@ -262,23 +266,38 @@ func (h *Hub) Emit(e Event) {
 	}
 	idx := h.ringIdx.Add(1) - 1
 	h.ring[idx%uint64(len(h.ring))].Store(&e)
-	if h.sink != nil {
-		h.mu.Lock()
-		if h.sinkErr == nil {
-			line, err := Encode(e)
-			if err == nil {
-				line = append(line, '\n')
-				_, err = h.sink.Write(line)
-			}
-			if err != nil {
-				h.sinkErr = err
-				h.dropped.Add(1)
-				h.droppedM.Inc()
-			}
+	if h.sink == nil {
+		return
+	}
+	bp := linePool.Get().(*[]byte)
+	line, err := appendEvent((*bp)[:0], e)
+	line = append(line, '\n')
+	h.mu.Lock()
+	if h.sinkErr == nil {
+		if err == nil {
+			_, err = h.sink.Write(line)
 		}
-		h.mu.Unlock()
+		h.sinkErr = err
+	}
+	if h.sinkErr != nil {
+		h.dropped.Add(1)
+		h.droppedM.Inc()
+	}
+	h.mu.Unlock()
+	if cap(line) <= maxPooledLine {
+		*bp = line[:0]
+		linePool.Put(bp)
 	}
 }
+
+// linePool recycles Emit's encode buffers; maxPooledLine keeps one
+// oversized event from pinning a large buffer in the pool.
+var linePool = sync.Pool{New: func() any {
+	b := make([]byte, 0, 256)
+	return &b
+}}
+
+const maxPooledLine = 64 << 10
 
 // Events returns the ring's contents, oldest first (by slot-claim
 // order). An emitter that has claimed a slot but not yet published into
@@ -304,7 +323,8 @@ func (h *Hub) Events() []Event {
 	return out
 }
 
-// Dropped returns how many events were lost to sink errors.
+// Dropped returns how many events were lost to sink errors: the event
+// whose encode or write failed and every event emitted after it.
 func (h *Hub) Dropped() uint64 {
 	if h == nil {
 		return 0

@@ -121,8 +121,12 @@ func TestSinkErrorCountsDropped(t *testing.T) {
 	h := New(Options{Sink: failingWriter{err: errors.New("disk full")}})
 	h.Emit(SyncBarrier{Step: 1})
 	h.Emit(SyncBarrier{Step: 2})
-	if h.Dropped() == 0 {
-		t.Error("expected dropped events after sink failure")
+	// The failed write and every event after it are lost.
+	if got := h.Dropped(); got != 2 {
+		t.Errorf("Dropped() = %d, want 2", got)
+	}
+	if got := h.droppedM.Value(); got != 2 {
+		t.Errorf("seesaw_events_dropped_total = %v, want 2", got)
 	}
 	if h.SinkErr() == nil {
 		t.Error("expected SinkErr after sink failure")
