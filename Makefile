@@ -1,7 +1,7 @@
 # Tier-1 gate: everything `make check` runs must stay green.
 GO ?= go
 
-.PHONY: all build check fmt vet staticcheck test race fuzz-smoke bench bench-scale bench-scale-profile bench-scale-smoke bench-rollouts bench-rollouts-profile memo-golden-smoke lane-race-smoke clean
+.PHONY: all build check fmt vet staticcheck test race fuzz-smoke bench bench-scale bench-scale-profile bench-scale-smoke bench-rollouts bench-rollouts-profile memo-golden-smoke batch-race-smoke clean
 
 all: build
 
@@ -12,7 +12,7 @@ build:
 # installed), the full suite under the race detector (the telemetry
 # hub and the insitu driver are concurrent by design), and a single-
 # iteration pass over the scale benchmarks so they cannot rot.
-check: fmt vet staticcheck race fuzz-smoke bench-scale-smoke memo-golden-smoke lane-race-smoke
+check: fmt vet staticcheck race fuzz-smoke bench-scale-smoke memo-golden-smoke batch-race-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -124,10 +124,10 @@ memo-golden-smoke:
 	rm -f "$$tmp/seesaw-memo-on.txt" "$$tmp/seesaw-memo-off.txt"; \
 	echo "memo golden smoke ok: memoized and live reports are byte-identical"
 
-# lane-race-smoke runs one 256-node lane-batched grid sweep under the
-# race detector: the lane-stepped executor, the shared trace cache and
-# the campaign pool all on the hot path at real concurrency.
-lane-race-smoke:
+# batch-race-smoke runs one 256-node batched grid sweep under the race
+# detector: Batch, the shared trace cache, the per-worker pooled Envs
+# and the campaign pool all on the hot path at real concurrency.
+batch-race-smoke:
 	$(GO) test -race -run xxx -bench 'BenchmarkRolloutsBatch/nodes=256/jobs=4' -benchtime 1x ./internal/rollout/
 
 clean:

@@ -110,7 +110,7 @@ func run(ctx context.Context, args []string) int {
 		return 2
 	}
 	cmd := args[0]
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	steps := fs.Int("steps", 0, "override Verlet steps per run (0 = experiment default)")
 	runs := fs.Int("runs", 0, "override repeated jobs per cell (0 = experiment default)")
 	seed := fs.Uint64("seed", 1, "base seed")
@@ -138,7 +138,7 @@ func run(ctx context.Context, args []string) int {
 		}
 		id := args[1]
 		if err := fs.Parse(args[2:]); err != nil {
-			return 2
+			return parseExit(err)
 		}
 		e, ok := bench.Get(id)
 		if !ok {
@@ -153,7 +153,7 @@ func run(ctx context.Context, args []string) int {
 		}
 	case "all":
 		if err := fs.Parse(args[1:]); err != nil {
-			return 2
+			return parseExit(err)
 		}
 		hub, closeHub := mustOpenHub(*telPath)
 		defer closeHub()
@@ -171,7 +171,7 @@ func run(ctx context.Context, args []string) int {
 		}
 	case "selftest":
 		if err := fs.Parse(args[1:]); err != nil {
-			return 2
+			return parseExit(err)
 		}
 		ok, err := bench.RunSelfTest(ctx, bench.Options{Steps: *steps, Runs: *runs, BaseSeed: *seed, Jobs: *jobs}, os.Stdout)
 		if err != nil {
@@ -199,6 +199,16 @@ func run(ctx context.Context, args []string) int {
 	return 0
 }
 
+// parseExit maps a flag-parse error to the exit code: 0 after -h
+// (the FlagSet has printed usage), 2 after a bad flag (the FlagSet has
+// printed the error and usage on stderr).
+func parseExit(err error) int {
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	return 2
+}
+
 // fail reports err on stderr and picks the exit code: 130 for an
 // interrupted run (the shell convention for SIGINT), 1 otherwise.
 func fail(ctx context.Context, err error) int {
@@ -212,11 +222,11 @@ func fail(ctx context.Context, err error) int {
 // runJob loads a JSON job description, runs it, and prints the summary
 // (or the full per-synchronization CSV with -csv).
 func runJob(ctx context.Context, args []string) int {
-	fs := flag.NewFlagSet("job", flag.ExitOnError)
+	fs := flag.NewFlagSet("job", flag.ContinueOnError)
 	csv := fs.Bool("csv", false, "emit the per-synchronization log as CSV")
 	telPath := fs.String("telemetry", "", "stream telemetry events to this file as JSON Lines")
 	if err := fs.Parse(args); err != nil {
-		return 2
+		return parseExit(err)
 	}
 	if fs.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "seesawctl job [-csv] [-telemetry FILE] <job.json>")
@@ -276,7 +286,7 @@ func runJob(ctx context.Context, args []string) int {
 // runTrace emits the per-synchronization log of one co-simulated cell as
 // CSV — the raw data behind the Figure 4 and Figure 5 plots.
 func runTrace(ctx context.Context, args []string) int {
-	fs := flag.NewFlagSet("trace", flag.ExitOnError)
+	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
 	policyName := fs.String("policy", "seesaw", "power policy: "+strings.Join(policy.Names(), ", "))
 	analyses := fs.String("analyses", "msd", "comma-separated analyses, or 'all'")
 	nodes := fs.Int("nodes", 128, "total nodes (split evenly)")
@@ -291,7 +301,7 @@ func runTrace(ctx context.Context, args []string) int {
 	topology := fs.String("topology", "", "workflow topology: space-shared, time-shared, in-transit or dag (default: the classic space-shared driver)")
 	telPath := fs.String("telemetry", "", "stream telemetry events to this file as JSON Lines")
 	if err := fs.Parse(args); err != nil {
-		return 2
+		return parseExit(err)
 	}
 	plan, err := fault.Parse(*faults)
 	if err != nil {

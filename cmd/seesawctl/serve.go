@@ -30,7 +30,7 @@ import (
 // live telemetry until interrupted; Ctrl-C cancels the in-flight lap and
 // shuts the listener down gracefully.
 func runServe(ctx context.Context, args []string) int {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
+	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8077", "HTTP listen address")
 	id := fs.String("id", "fig4", "experiment to loop (see 'seesawctl list')")
 	steps := fs.Int("steps", 0, "override Verlet steps per run (0 = experiment default)")
@@ -40,7 +40,7 @@ func runServe(ctx context.Context, args []string) int {
 	once := fs.Bool("once", false, "run the experiment once instead of looping (serving continues)")
 	telPath := fs.String("telemetry", "", "additionally stream telemetry events to this file as JSON Lines")
 	if err := fs.Parse(args); err != nil {
-		return 2
+		return parseExit(err)
 	}
 	e, ok := bench.Get(*id)
 	if !ok {

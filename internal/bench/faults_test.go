@@ -14,12 +14,22 @@ import (
 // TestFaultsExperimentRenders: the faults experiment completes, reports
 // the shrunken partition, and its kill emits lifecycle telemetry.
 func TestFaultsExperimentRenders(t *testing.T) {
-	hub := telemetry.New(telemetry.Options{})
+	o := fastOptions()
+	// The ring must hold every event of the run: cells execute in
+	// parallel, so the kill cell's NodeKilled can be emitted early and
+	// overwritten by later cells in a default-sized ring. One cell
+	// synchronization emits a SyncBarrier, a PolicyDecision and a
+	// job-level BudgetViolation, plus per node a few transition events
+	// (cap write, throttle, window violation, fault); 8 per node is a
+	// wide margin over the measured volume (under one per node).
+	const nodes = 8
+	spec := specAt(nodes, defaultDim, 1, o.Steps, workload.Tasks("msd"))
+	cells := len(faultScenarios(spec, o.Steps)) * (1 + len(PolicyNames()))
+	hub := telemetry.New(telemetry.Options{RingSize: cells * (o.Steps*(3+8*nodes) + 2)})
 	e, ok := Get("faults")
 	if !ok {
 		t.Fatal("faults experiment not registered")
 	}
-	o := fastOptions()
 	o.Telemetry = hub
 	var buf bytes.Buffer
 	if err := e.Run(context.Background(), o, &buf); err != nil {

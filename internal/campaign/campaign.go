@@ -167,11 +167,12 @@ func Run(ctx context.Context, cells []Cell, o Options) ([]Result, error) {
 			for i := range idxc {
 				r := runCell(wctx, o, cells[i])
 				results[i] = r
+				// The event is emitted under mu so CampaignCell events
+				// reach the ring in done order.
 				mu.Lock()
 				done++
-				d := done
+				o.Telemetry.CampaignCellDone(o.Name, r.Key, r.Status(), r.seconds, done, len(cells), r.Started)
 				mu.Unlock()
-				o.Telemetry.CampaignCellDone(o.Name, r.Key, r.Status(), r.seconds, d, len(cells), r.Started)
 			}
 		}()
 	}

@@ -23,7 +23,6 @@ import (
 	"seesaw/internal/core"
 	"seesaw/internal/machine"
 	"seesaw/internal/mpi"
-	"seesaw/internal/telemetry"
 	"seesaw/internal/trace"
 	"seesaw/internal/units"
 )
@@ -214,10 +213,10 @@ type Episode struct {
 	lastEnergy []units.Joules
 	used       bool
 
-	// runState is the pooled per-run loop state: Run (and the lane
-	// executor in lanes.go) thread it through begin/runWindow/finish,
-	// and keeping it on the Episode avoids a per-episode allocation.
-	runState epRun
+	// clock is the running episode's virtual time. It lives on the
+	// Episode so the instrumented policy's clock callback reads it
+	// without moving a Run local to the heap.
+	clock units.Seconds
 }
 
 // adaptTables returns the model-adapted copy of per-interval phase
@@ -300,40 +299,17 @@ func (st *JobState) NewEpisode() (*Episode, error) {
 	}, nil
 }
 
-// epRun is the mutable loop state of one running episode, threaded
-// through begin/runWindow/finish. Run drives one epRun to completion;
-// the lane executor (lanes.go) advances K of them in lockstep, one
-// schedule walk serving every lane.
-type epRun struct {
-	prm    EpisodeParams
-	policy core.Policy
-	res    *Result
-
-	clock         units.Seconds
-	carryOverhead units.Seconds
-
-	// Idle-trough handles resolved once per partition: the per-node
-	// observation inside the synchronization loop must not pay a family
-	// label lookup (and a Role→string conversion) per node per interval.
-	idleSimM, idleAnaM *telemetry.Metric
-
-	// Fault-free runs take a lock-free fast path through the health
-	// view: with an empty plan every node stays Healthy and alive and
-	// the work scale is 1, so the per-node mutex reads of the cluster's
-	// health state (three per node per interval) are pure overhead.
-	faultFree bool
-	// The pre-adapted execute path additionally requires segment tracing
-	// off: it does not collect Segments (tracing runs are one-off figure
-	// generation, not search workloads).
-	fast bool
-}
-
-// begin validates the episode parameters, resets the pooled cluster and
-// installs the initial caps, returning the run state runWindow advances.
-func (ep *Episode) begin(prm EpisodeParams) (*epRun, error) {
+// Run executes one episode. The context is checked at every
+// synchronization interval: cancelling it makes Run return ctx.Err()
+// promptly with no partial Result. The returned Result owns all its
+// storage; nothing in it aliases the Episode's pooled scratch state.
+func (ep *Episode) Run(ctx context.Context, prm EpisodeParams) (*Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	st := ep.st
 	cfg := &st.cfg
-	nTotal := st.nTotal
+	nSim, nTotal := st.nSim, st.nTotal
 
 	pol := prm.Policy
 	if pol == nil {
@@ -357,13 +333,13 @@ func (ep *Episode) begin(prm EpisodeParams) (*epRun, error) {
 		cl.Reset()
 	}
 	ep.used = true
-	for i := range ep.lastEnergy {
-		ep.lastEnergy[i] = 0
+	busy, measures, lastEnergy := ep.busy, ep.measures, ep.lastEnergy
+	for i := range lastEnergy {
+		lastEnergy[i] = 0
 	}
 
-	r := &ep.runState
-	*r = epRun{prm: prm}
-	r.policy = core.Instrument(pol, cfg.Telemetry, func() float64 { return float64(r.clock) })
+	ep.clock = 0
+	policy := core.Instrument(pol, cfg.Telemetry, func() float64 { return float64(ep.clock) })
 	// Install initial caps.
 	if prm.CapMode != CapNone {
 		for i := 0; i < nTotal; i++ {
@@ -378,87 +354,135 @@ func (ep *Episode) begin(prm EpisodeParams) (*epRun, error) {
 		}
 	}
 
-	r.res = &Result{
-		SyncLog:         &trace.SyncLog{Records: make([]trace.SyncRecord, 0, len(st.schedule))},
-		OverheadPerSync: st.overhead,
-	}
-	r.idleSimM = cfg.Telemetry.IdleWaitMetric(core.RoleSimulation.String())
-	r.idleAnaM = cfg.Telemetry.IdleWaitMetric(core.RoleAnalysis.String())
-	r.faultFree = cfg.Faults.Empty()
-	r.fast = r.faultFree && !cfg.TraceSegments
-	return r, nil
-}
-
-// runWindow advances the episode through schedule entry syncIdx: phase
-// execution, synchronization, measurement, and the policy's allocation.
-// It touches only this episode's state, so lanes interleaving windows
-// of different episodes produce exactly the bytes of sequential runs.
-func (ep *Episode) runWindow(r *epRun, syncIdx int) {
-	st := ep.st
-	cfg := &st.cfg
-	cl := ep.cl
-	nSim, nTotal := st.nSim, st.nTotal
-	busy, measures, lastEnergy := ep.busy, ep.measures, ep.lastEnergy
-	faultFree, fast := r.faultFree, r.fast
 	overhead := st.overhead
-	res := r.res
-	prm := &r.prm
-	iv := st.schedule[syncIdx]
-	syncing := iv.sync
-
-	// 0. Fault plan: transitions planned for this interval fire
-	// before it executes. A kill shifts the dead node's share of the
-	// partition's domain-decomposed work onto the survivors.
-	scale := [2]float64{}
-	if faultFree {
-		scale[core.RoleSimulation] = 1
-		scale[core.RoleAnalysis] = 1
-	} else {
-		if trs := cl.Advance(r.clock, syncIdx+1); len(trs) > 0 {
-			res.FaultLog = append(res.FaultLog, trs...)
-		}
-		scale[core.RoleSimulation] = cl.WorkScale(core.RoleSimulation)
-		scale[core.RoleAnalysis] = cl.WorkScale(core.RoleAnalysis)
+	res := &Result{
+		SyncLog:         &trace.SyncLog{Records: make([]trace.SyncRecord, 0, len(st.schedule))},
+		OverheadPerSync: overhead,
 	}
+	var carryOverhead units.Seconds
 
-	simPhases := st.simPhases[syncIdx]
-	anaPhases := st.anaPhases[syncIdx]
+	// Idle-trough handles resolved once per partition: the per-node
+	// observation inside the synchronization loop must not pay a family
+	// label lookup (and a Role→string conversion) per node per interval.
+	idleSimM := cfg.Telemetry.IdleWaitMetric(core.RoleSimulation.String())
+	idleAnaM := cfg.Telemetry.IdleWaitMetric(core.RoleAnalysis.String())
 
-	// 1. Execute every live node's interval.
-	for i := 0; i < nTotal; i++ {
-		n := cl.Node(i)
-		if !faultFree && !cl.Alive(i) {
-			busy[i] = 0
-			continue
+	// Fault-free runs take a lock-free fast path through the health
+	// view: with an empty plan every node stays Healthy and alive and
+	// the work scale is 1, so the per-node mutex reads of the cluster's
+	// health state (three per node per interval) are pure overhead.
+	faultFree := cfg.Faults.Empty()
+	// The pre-adapted execute path additionally requires segment tracing
+	// off: it does not collect Segments (tracing runs are one-off figure
+	// generation, not search workloads).
+	fast := faultFree && !cfg.TraceSegments
+
+	for syncIdx, iv := range st.schedule {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		var t units.Seconds
-		if fast {
-			// Pre-adapted tables: no per-execution adaptation, no
-			// Phase copy, no fault work-scaling (scale is 1).
-			phases := ep.nodeSim[i][syncIdx]
-			if cl.Role(i) == core.RoleAnalysis {
-				phases = ep.nodeAna[i][syncIdx]
-			}
-			for k := range phases {
-				t += n.RunAdapted(&phases[k], &cfg.Noise).Duration
-			}
+		syncing := iv.sync
+
+		// 0. Fault plan: transitions planned for this interval fire
+		// before it executes. A kill shifts the dead node's share of the
+		// partition's domain-decomposed work onto the survivors.
+		scale := [2]float64{}
+		if faultFree {
+			scale[core.RoleSimulation] = 1
+			scale[core.RoleAnalysis] = 1
 		} else {
-			// Fault work-scaling multiplies the *raw* nominal before
-			// adaptation (scale*(nominal/speed) != (scale*nominal)/speed
-			// in floating point), so faulted — and traced — runs keep
-			// the original RunTrusted path bit for bit.
-			phases := simPhases
-			if cl.Role(i) == core.RoleAnalysis {
-				phases = anaPhases
+			if trs := cl.Advance(ep.clock, syncIdx+1); len(trs) > 0 {
+				res.FaultLog = append(res.FaultLog, trs...)
 			}
-			for _, ph := range phases {
-				if s := scale[cl.Role(i)]; s != 1 {
-					ph.Nominal = units.Seconds(float64(ph.Nominal) * s)
+			scale[core.RoleSimulation] = cl.WorkScale(core.RoleSimulation)
+			scale[core.RoleAnalysis] = cl.WorkScale(core.RoleAnalysis)
+		}
+
+		simPhases := st.simPhases[syncIdx]
+		anaPhases := st.anaPhases[syncIdx]
+
+		// 1. Execute every live node's interval.
+		for i := 0; i < nTotal; i++ {
+			n := cl.Node(i)
+			if !faultFree && !cl.Alive(i) {
+				busy[i] = 0
+				continue
+			}
+			var t units.Seconds
+			if fast {
+				// Pre-adapted tables: no per-execution adaptation, no
+				// Phase copy, no fault work-scaling (scale is 1).
+				phases := ep.nodeSim[i][syncIdx]
+				if cl.Role(i) == core.RoleAnalysis {
+					phases = ep.nodeAna[i][syncIdx]
 				}
-				exec := n.RunTrusted(ph, cfg.Noise)
-				t += exec.Duration
+				for k := range phases {
+					t += n.RunAdapted(&phases[k], &cfg.Noise).Duration
+				}
+			} else {
+				// Fault work-scaling multiplies the *raw* nominal before
+				// adaptation (scale*(nominal/speed) != (scale*nominal)/speed
+				// in floating point), so faulted — and traced — runs keep
+				// the original RunTrusted path bit for bit.
+				phases := simPhases
+				if cl.Role(i) == core.RoleAnalysis {
+					phases = anaPhases
+				}
+				for _, ph := range phases {
+					if s := scale[cl.Role(i)]; s != 1 {
+						ph.Nominal = units.Seconds(float64(ph.Nominal) * s)
+					}
+					exec := n.RunTrusted(ph, cfg.Noise)
+					t += exec.Duration
+					if cfg.TraceSegments && (i == 0 || i == nSim) {
+						seg := Segment{Start: ep.clock + t - exec.Duration, Duration: exec.Duration, Power: exec.Power}
+						if i == 0 {
+							res.SimSegments = append(res.SimSegments, seg)
+						} else {
+							res.AnaSegments = append(res.AnaSegments, seg)
+						}
+					}
+				}
+			}
+			// The previous allocation's overhead is part of this
+			// interval's runtime (the paper's measurement convention).
+			t += carryOverhead
+			busy[i] = t
+		}
+
+		// 2. Synchronization: the slower partition sets the wall time.
+		var wall units.Seconds
+		for _, t := range busy {
+			if t > wall {
+				wall = t
+			}
+		}
+		// 3. Idle the waiting nodes up to the barrier and take the
+		// measurements, exactly as PoLiMER reports them, in one pass
+		// (the two are node-local: a node's energy is untouched by its
+		// neighbours' idling, so idle-then-measure per node is bit-
+		// identical to idling all nodes then measuring all nodes). The
+		// epoch time additionally folds in part of the synchronization
+		// wait, as a loop-level monitor (GEOPM) would observe it. Dead
+		// nodes report zeroed measures (Cap 0 keeps the allocators from
+		// re-injecting a corpse's stale cap into the budget pool).
+		for i := 0; i < nTotal; i++ {
+			n := cl.Node(i)
+			if !faultFree && !cl.Alive(i) {
+				measures[i] = core.NodeMeasure{NodeID: i, Health: core.Dead, Role: cl.Role(i)}
+				continue
+			}
+			if wait := wall - busy[i]; wait > 0 {
+				exec := n.Idle(wait)
+				idleM := idleSimM
+				if cl.Role(i) == core.RoleAnalysis {
+					idleM = idleAnaM
+				}
+				if idleM != nil {
+					idleM.Observe(float64(wait))
+				}
 				if cfg.TraceSegments && (i == 0 || i == nSim) {
-					seg := Segment{Start: r.clock + t - exec.Duration, Duration: exec.Duration, Power: exec.Power}
+					seg := Segment{Start: ep.clock + busy[i], Duration: wait, Power: exec.Power}
 					if i == 0 {
 						res.SimSegments = append(res.SimSegments, seg)
 					} else {
@@ -466,148 +490,72 @@ func (ep *Episode) runWindow(r *epRun, syncIdx int) {
 					}
 				}
 			}
-		}
-		// The previous allocation's overhead is part of this
-		// interval's runtime (the paper's measurement convention).
-		t += r.carryOverhead
-		busy[i] = t
-	}
-
-	// 2. Synchronization: the slower partition sets the wall time.
-	var wall units.Seconds
-	for _, t := range busy {
-		if t > wall {
-			wall = t
-		}
-	}
-	// 3. Idle the waiting nodes up to the barrier and take the
-	// measurements, exactly as PoLiMER reports them, in one pass
-	// (the two are node-local: a node's energy is untouched by its
-	// neighbours' idling, so idle-then-measure per node is bit-
-	// identical to idling all nodes then measuring all nodes). The
-	// epoch time additionally folds in part of the synchronization
-	// wait, as a loop-level monitor (GEOPM) would observe it. Dead
-	// nodes report zeroed measures (Cap 0 keeps the allocators from
-	// re-injecting a corpse's stale cap into the budget pool).
-	for i := 0; i < nTotal; i++ {
-		n := cl.Node(i)
-		if !faultFree && !cl.Alive(i) {
-			measures[i] = core.NodeMeasure{NodeID: i, Health: core.Dead, Role: cl.Role(i)}
-			continue
-		}
-		if wait := wall - busy[i]; wait > 0 {
-			exec := n.Idle(wait)
-			idleM := r.idleSimM
-			if cl.Role(i) == core.RoleAnalysis {
-				idleM = r.idleAnaM
+			health := core.Healthy
+			if !faultFree {
+				health = cl.Health(i)
 			}
-			if idleM != nil {
-				idleM.Observe(float64(wait))
-			}
-			if cfg.TraceSegments && (i == 0 || i == nSim) {
-				seg := Segment{Start: r.clock + busy[i], Duration: wait, Power: exec.Power}
-				if i == 0 {
-					res.SimSegments = append(res.SimSegments, seg)
-				} else {
-					res.AnaSegments = append(res.AnaSegments, seg)
+			en := n.RAPL().Energy()
+			e := en - lastEnergy[i]
+			lastEnergy[i] = en
+			// Field-wise writes into the pooled slice: a composite
+			// literal here materializes a temporary NodeMeasure and
+			// copies it in (a measurable duffcopy at scale).
+			m := &measures[i]
+			m.NodeID = i
+			m.Health = health
+			m.Role = cl.Role(i)
+			m.Time = wall // allocator-to-allocator interval: work + sync wait
+			m.BusyTime = busy[i]
+			m.EpochTime = busy[i] + (wall-busy[i])*epochWaitShare
+			m.Power = units.AvgPower(e, wall)
+			m.Cap = n.RAPL().LongCap()
+			// Zero on a homogeneous cluster, so single-class runs
+			// take the allocators' legacy uniform path unchanged.
+			m.NodeCapability = cl.Capability(i)
+		}
+		ep.clock += wall
+		rec := buildRecord(syncIdx+1, measures, nSim, overhead)
+		res.SyncLog.Add(rec)
+		if cfg.Telemetry != nil {
+			cfg.Telemetry.SyncBarrier(float64(ep.clock), rec.Step,
+				float64(wall), float64(rec.SimTime), float64(rec.AnaTime), rec.Slack(), float64(overhead))
+			// Job-level budget check: summed measured power against the
+			// global budget (small tolerance for enforcement slack). Dead
+			// nodes draw nothing, so the sum covers live nodes only.
+			if prm.CapMode != CapNone && prm.Constraints.Budget > 0 {
+				aliveSim, aliveAna := cl.AliveCounts()
+				total := float64(rec.SimPower)*float64(aliveSim) + float64(rec.AnaPower)*float64(aliveAna)
+				if budget := float64(prm.Constraints.Budget); total > budget*1.01 {
+					cfg.Telemetry.BudgetViolation(float64(ep.clock), "job", total, budget, true)
 				}
 			}
 		}
-		health := core.Healthy
-		if !faultFree {
-			health = cl.Health(i)
-		}
-		en := n.RAPL().Energy()
-		e := en - lastEnergy[i]
-		lastEnergy[i] = en
-		// Field-wise writes into the pooled slice: a composite
-		// literal here materializes a temporary NodeMeasure and
-		// copies it in (a measurable duffcopy at scale).
-		m := &measures[i]
-		m.NodeID = i
-		m.Health = health
-		m.Role = cl.Role(i)
-		m.Time = wall // allocator-to-allocator interval: work + sync wait
-		m.BusyTime = busy[i]
-		m.EpochTime = busy[i] + (wall-busy[i])*epochWaitShare
-		m.Power = units.AvgPower(e, wall)
-		m.Cap = n.RAPL().LongCap()
-		// Zero on a homogeneous cluster, so single-class runs
-		// take the allocators' legacy uniform path unchanged.
-		m.NodeCapability = cl.Capability(i)
-	}
-	r.clock += wall
-	rec := buildRecord(syncIdx+1, measures, nSim, overhead)
-	res.SyncLog.Add(rec)
-	if cfg.Telemetry != nil {
-		cfg.Telemetry.SyncBarrier(float64(r.clock), rec.Step,
-			float64(wall), float64(rec.SimTime), float64(rec.AnaTime), rec.Slack(), float64(overhead))
-		// Job-level budget check: summed measured power against the
-		// global budget (small tolerance for enforcement slack). Dead
-		// nodes draw nothing, so the sum covers live nodes only.
-		if prm.CapMode != CapNone && prm.Constraints.Budget > 0 {
-			aliveSim, aliveAna := cl.AliveCounts()
-			total := float64(rec.SimPower)*float64(aliveSim) + float64(rec.AnaPower)*float64(aliveAna)
-			if budget := float64(prm.Constraints.Budget); total > budget*1.01 {
-				cfg.Telemetry.BudgetViolation(float64(r.clock), "job", total, budget, true)
-			}
-		}
-	}
 
-	// 4. Policy invocation and cap writes.
-	r.carryOverhead = 0
-	if syncing && prm.CapMode != CapNone {
-		caps := r.policy.Allocate(syncIdx+1, measures)
-		if caps != nil {
-			for i := 0; i < nTotal; i++ {
-				n := cl.Node(i)
-				if (faultFree || cl.Alive(i)) && caps[i] > 0 && caps[i] != n.RAPL().LongCap() {
-					n.RAPL().SetLongCap(caps[i])
-					if prm.CapMode == CapLongShort {
-						n.RAPL().SetShortCap(caps[i])
+		// 4. Policy invocation and cap writes.
+		carryOverhead = 0
+		if syncing && prm.CapMode != CapNone {
+			caps := policy.Allocate(syncIdx+1, measures)
+			if caps != nil {
+				for i := 0; i < nTotal; i++ {
+					n := cl.Node(i)
+					if (faultFree || cl.Alive(i)) && caps[i] > 0 && caps[i] != n.RAPL().LongCap() {
+						n.RAPL().SetLongCap(caps[i])
+						if prm.CapMode == CapLongShort {
+							n.RAPL().SetShortCap(caps[i])
+						}
 					}
 				}
 			}
+			carryOverhead = overhead
 		}
-		r.carryOverhead = overhead
 	}
-}
 
-// finish seals the run: totals, final caps and live counts. The Result
-// owns all its storage; nothing in it aliases the Episode's pooled
-// scratch, and the run state drops its policy/result references so a
-// parked Episode retains nothing from the last run.
-func (ep *Episode) finish(r *epRun) *Result {
-	st, cl := ep.st, ep.cl
-	res := r.res
-	res.TotalTime = r.clock
-	res.FinalCaps = make([]units.Watts, st.nTotal)
-	for i := 0; i < st.nTotal; i++ {
+	res.TotalTime = ep.clock
+	res.FinalCaps = make([]units.Watts, nTotal)
+	for i := 0; i < nTotal; i++ {
 		res.TotalEnergy += cl.Node(i).RAPL().Energy()
 		res.FinalCaps[i] = cl.Node(i).RAPL().LongCap()
 	}
 	res.AliveSim, res.AliveAna = cl.AliveCounts()
-	r.res, r.policy = nil, nil
-	return res
-}
-
-// Run executes one episode. The context is checked at every
-// synchronization interval: cancelling it makes Run return ctx.Err()
-// promptly with no partial Result. The returned Result owns all its
-// storage; nothing in it aliases the Episode's pooled scratch state.
-func (ep *Episode) Run(ctx context.Context, prm EpisodeParams) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	r, err := ep.begin(prm)
-	if err != nil {
-		return nil, err
-	}
-	for syncIdx := range ep.st.schedule {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		ep.runWindow(r, syncIdx)
-	}
-	return ep.finish(r), nil
+	return res, nil
 }

@@ -1,6 +1,6 @@
 // Batched rollouts: fan a grid of (budget, w, dims, faults, topology,
 // policy) points across the campaign engine's worker pool. Each cell is
-// one full episode driven through the Env step API with a
+// one point: one full episode driven through Env.Rollout with a
 // registry-constructed policy, so batch throughput measures the whole
 // policy-search loop, not a shortcut around it.
 //
@@ -11,15 +11,6 @@
 // stream crosses to a different job. Grid enumeration orders points so
 // cells of one job are consecutive, which is what makes the per-worker
 // single-entry episode pool effective.
-//
-// Points of one job are additionally carved into lane chunks (width
-// from Options.Lanes, automatically node-scaled by default) that a
-// worker advances in lockstep through the lane-stepped executor: one
-// walk of the job's phase tables and noise traces per window feeds
-// every lane. Chunking — rather than one cell per job — keeps the
-// worker pool busy when the grid has fewer distinct jobs than workers,
-// which is the common sweep shape (many budgets and policies of few
-// jobs) and was the jobs=1/4/8 flatline.
 package rollout
 
 import (
@@ -28,7 +19,6 @@ import (
 	"strings"
 
 	"seesaw/internal/campaign"
-	"seesaw/internal/core"
 	"seesaw/internal/fault"
 	"seesaw/internal/machine"
 	"seesaw/internal/policy"
@@ -71,50 +61,12 @@ type Options struct {
 	// are byte-identical at any value: points are pure functions of
 	// their specs and results are assembled in enumeration order.
 	Jobs int
-	// Lanes fixes how many same-job points one worker advances in
-	// lockstep (the lane-stepped executor); <= 0 picks the width
-	// automatically — DefaultLanes, scaled down for large node
-	// populations so the lane set stays cache-resident — and 1 disables
-	// lane batching (one point per cell). Outcomes are byte-identical
-	// at any width — lanes only reorder which episode's window executes
-	// next, never the bytes of any episode.
-	Lanes int
 	// Cache, when non-nil, supplies the shared JobState cache so
 	// callers can share precompute across batches and read hit/eviction
 	// stats afterwards; nil gets a private bounded cache.
 	Cache *StateCache
 	// Telemetry, when non-nil, receives campaign progress events.
 	Telemetry *telemetry.Hub
-}
-
-// DefaultLanes caps the automatic lane-chunk width: wide enough that
-// the shared per-window state amortizes, narrow enough that a grid's
-// key groups still split across workers.
-const DefaultLanes = 4
-
-// laneNodeBudget bounds the total node population one worker's lane set
-// keeps resident when Options.Lanes is automatic. Lane-stepping pays
-// while every lane's node state stays cache-warm across a window;
-// measured on the reference box the cliff sits near 1k combined nodes
-// (BENCH_rollouts3.json notes) — beyond it lockstep evicts its own
-// lanes each window and loses to sequential replay.
-const laneNodeBudget = 1024
-
-// laneWidth resolves the lane width for a job of n total nodes: an
-// explicit Options.Lanes wins; otherwise the node budget divided by the
-// population, capped at DefaultLanes.
-func laneWidth(opt, n int) int {
-	if opt > 0 {
-		return opt
-	}
-	w := DefaultLanes
-	if n > 0 && laneNodeBudget/n < w {
-		w = laneNodeBudget / n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // Batch runs every point on the campaign worker pool and returns one
@@ -145,93 +97,26 @@ func Batch(ctx context.Context, points []Point, o Options) ([]Outcome, error) {
 		cache = NewStateCache()
 	}
 
-	// Carve the points into cells. Space-shared, uninstrumented points
-	// with a resolvable policy group by job key into lane chunks (at
-	// most lanes wide, enumeration order preserved within each chunk);
-	// everything else — workflow topologies, instrumented specs,
-	// unknown policies — keeps its own single-point cell. A cell sits at
-	// its first point's enumeration slot, so same-job cells stay
-	// consecutive in the worker streams either way.
-	laneable := func(p Point) bool {
-		return (p.Spec.Topology == "" || p.Spec.Topology == "space-shared") &&
-			p.Spec.Telemetry == nil && factories[p.Policy].err == nil
-	}
-	var chunks [][]int // point indices per cell, cell enumeration order
-	open := map[string]int{}
+	cells := make([]campaign.Cell, len(points))
 	for i, p := range points {
-		w := laneWidth(o.Lanes, p.Spec.Workload.SimNodes+p.Spec.Workload.AnaNodes)
-		if w > 1 && laneable(p) {
-			key := p.Spec.jobKey()
-			if ci, ok := open[key]; ok && len(chunks[ci]) < w {
-				chunks[ci] = append(chunks[ci], i)
-				continue
-			}
-			open[key] = len(chunks)
-		}
-		chunks = append(chunks, []int{i})
-	}
-
-	// runPoint is the single-point path: the pooled per-worker episode
-	// (or a throwaway Env when the pool is absent).
-	runPoint := func(ctx context.Context, p Point) (*Result, error) {
-		w := p.Window
-		if w < 1 {
-			w = 1
-		}
-		lk := factories[p.Policy]
-		if lk.err != nil {
-			return nil, lk.err
-		}
-		n := p.Spec.Workload.SimNodes + p.Spec.Workload.AnaNodes
-		pol, err := lk.fac(p.Spec.constraints(n), w)
-		if err != nil {
-			return nil, err
-		}
-		if env, ok := campaign.WorkerValue(ctx).(*Env); ok {
-			return env.Rollout(ctx, p.Spec, pol)
-		}
-		return Run(ctx, p.Spec, pol)
-	}
-
-	cells := make([]campaign.Cell, len(chunks))
-	for ci, idxs := range chunks {
-		first := points[idxs[0]]
-		key := first.Key
-		if len(idxs) > 1 {
-			key = fmt.Sprintf("%s [+%d lanes]", key, len(idxs)-1)
-		}
-		cells[ci] = campaign.Cell{
-			Key:  key,
-			Seed: first.Spec.Seed,
+		cells[i] = campaign.Cell{
+			Key:  p.Key,
+			Seed: p.Spec.Seed,
 			Run: func(ctx context.Context) (any, error) {
-				if len(idxs) == 1 {
-					res, err := runPoint(ctx, points[idxs[0]])
-					if err != nil {
-						return nil, err
-					}
-					return []*Result{res}, nil
+				w := p.Window
+				if w < 1 {
+					w = 1
 				}
-				specs := make([]Spec, len(idxs))
-				pols := make([]core.Policy, len(idxs))
-				for k, idx := range idxs {
-					p := points[idx]
-					w := p.Window
-					if w < 1 {
-						w = 1
-					}
-					n := p.Spec.Workload.SimNodes + p.Spec.Workload.AnaNodes
-					pol, err := factories[p.Policy].fac(p.Spec.constraints(n), w)
-					if err != nil {
-						return nil, err
-					}
-					specs[k], pols[k] = p.Spec, pol
+				lk := factories[p.Policy]
+				if lk.err != nil {
+					return nil, lk.err
 				}
-				env, pooled := campaign.WorkerValue(ctx).(*Env)
-				if !pooled {
-					env = NewEnvWith(cache)
-					defer env.Close()
+				n := p.Spec.Workload.SimNodes + p.Spec.Workload.AnaNodes
+				pol, err := lk.fac(p.Spec.constraints(n), w)
+				if err != nil {
+					return nil, err
 				}
-				return env.RolloutLanes(ctx, specs, pols)
+				return campaign.WorkerValue(ctx).(*Env).Rollout(ctx, p.Spec, pol)
 			},
 		}
 	}
@@ -242,13 +127,10 @@ func Batch(ctx context.Context, points []Point, o Options) ([]Outcome, error) {
 		WorkerState: func() any { return NewEnvWith(cache) },
 	})
 	outs := make([]Outcome, len(points))
-	for ci, r := range rs {
-		lane, _ := r.Value.([]*Result)
-		for k, idx := range chunks[ci] {
-			outs[idx] = Outcome{Point: points[idx], Err: r.Err}
-			if k < len(lane) {
-				outs[idx].Result = lane[k]
-			}
+	for i, r := range rs {
+		outs[i] = Outcome{Point: points[i], Err: r.Err}
+		if res, ok := r.Value.(*Result); ok {
+			outs[i].Result = res
 		}
 	}
 	return outs, err

@@ -33,9 +33,8 @@ func benchSpec(nodes int) Spec {
 // policy-search episodes per second through Env.Rollout — registry
 // policy construction and all — on the pooled single-worker path Batch
 // workers run (one Env reused across episodes, as a sweep over
-// budgets/policies replays one job). Rollout takes the direct
-// in-process path, bypassing the step-API rendezvous the goldens and
-// TestStepZeroAllocs exercise; both produce identical bytes.
+// budgets/policies replays one job). The goldens pin this path's bytes
+// and TestRolloutAllocs its per-episode allocations.
 func BenchmarkRollouts(b *testing.B) {
 	for _, nodes := range []int{256, 1024, 4096} {
 		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
@@ -88,10 +87,10 @@ func BenchmarkRolloutsFresh(b *testing.B) {
 
 // BenchmarkRolloutsBatch measures batch scaling: one iteration fans a
 // 64-point budget/window/policy sweep of a single job across the
-// campaign pool at the given concurrency, exercising the shared
-// JobState cache, the per-worker episode pools and the lane-stepped
-// executor together. One iteration is one Batch call — the shape of a
-// real search invocation — so per-call costs (trace recording, lane
+// campaign pool at the given concurrency, one cell per point,
+// exercising the shared JobState cache and the per-worker episode
+// pools together. One iteration is one Batch call — the shape of a
+// real search invocation — so per-call costs (trace recording, worker
 // population construction) are amortized exactly as a user's sweep
 // amortizes them.
 //

@@ -1,26 +1,18 @@
 // Package rollout turns the deterministic co-simulation into a
-// policy-evaluation environment with an explicit observation/action
-// step API (the ROADMAP's policy-search substrate, SPARS-style):
+// policy-evaluation environment (the ROADMAP's policy-search substrate,
+// SPARS-style): a policy is any core.Policy, and one rollout runs a
+// full episode with it deciding the caps at every synchronization:
 //
 //	env := rollout.NewEnv()
-//	obs, err := env.Reset(spec)
-//	for !done {
-//	    caps := agent.Act(obs)          // any allocator, in- or out-of-tree
-//	    obs, done = env.Step(caps)
-//	}
-//	res, err := env.Result()
+//	defer env.Close()
+//	res, err := env.Rollout(ctx, spec, pol) // pol: any allocator, in- or out-of-tree
 //
-// The environment is byte-identical to in-loop policy execution: an
-// Env run is the existing cosim / workflow driver with the policy
-// callback inverted into a condition-variable rendezvous, so a
-// registry policy driven through Env reproduces exactly the report
+// A rollout is the existing cosim / workflow driver with the policy
+// invoked in-loop, so a registry policy reproduces exactly the report
 // bytes of the same policy run inside the driver (the golden tests pin
 // this, for fresh and pooled episodes alike).
 //
-// The step path is allocation-free at steady state: one driver
-// goroutine per Env parks between episodes, observations are published
-// through a double-buffered measure slice owned by the Env, and
-// space-shared episodes replay a pooled cosim.Episode over a shared
+// Space-shared episodes replay a pooled cosim.Episode over a shared
 // cosim.JobState instead of rebuilding the node population per run
 // (see DESIGN.md, "Rollout fast path"). Batched rollouts over the
 // campaign engine (Batch) reach thousands of policy evaluations per
@@ -30,7 +22,6 @@ package rollout
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"seesaw/internal/core"
 	"seesaw/internal/cosim"
@@ -44,7 +35,7 @@ import (
 )
 
 // Spec describes one environment episode: a full co-simulated job minus
-// the policy, which the caller supplies action by action.
+// the policy, which the caller supplies to Rollout.
 type Spec struct {
 	// Workload is the job (node counts, dim, j, steps, analyses).
 	Workload workload.Spec
@@ -139,74 +130,6 @@ func (s Spec) cosimConfig(pol core.Policy) cosim.Config {
 	}
 }
 
-// Observation is what the environment exposes between actions: the
-// per-node measurements the in-loop policy would have received, plus
-// the slack/phase aggregates the telemetry layer computes from them.
-//
-// Measures aliases a buffer owned by the Env and is only valid until
-// the next Step, Reset or Close call on that Env. Callers that retain
-// an observation across steps (replay buffers, logging) must take a
-// Clone first; callers that act on it immediately — every policy's
-// Allocate — read it for free.
-type Observation struct {
-	// Step is the 1-based synchronization index.
-	Step int
-	// Measures are the per-node measurements of the interval that just
-	// ended, in world-rank order (what Policy.Allocate receives).
-	Measures []core.NodeMeasure
-	// SimTime and AnaTime are the partitions' slowest busy times;
-	// Slack is the interval's normalized slack |T_S - T_A| / wall.
-	SimTime, AnaTime units.Seconds
-	Slack            float64
-	// SimPower and AnaPower are the partitions' mean per-node measured
-	// powers over the interval.
-	SimPower, AnaPower units.Watts
-	// AliveSim and AliveAna are the partitions' live node counts.
-	AliveSim, AliveAna int
-}
-
-// Clone returns a copy of the observation whose Measures are owned by
-// the caller, for retention past the Env's reuse window.
-func (o Observation) Clone() Observation {
-	o.Measures = append([]core.NodeMeasure(nil), o.Measures...)
-	return o
-}
-
-// aggregate fills the observation's partition aggregates from its
-// measures (the same arithmetic the drivers' SyncRecords use).
-func (o *Observation) aggregate() {
-	var wall units.Seconds
-	for _, m := range o.Measures {
-		if m.Health == core.Dead {
-			continue
-		}
-		switch m.Role {
-		case core.RoleSimulation:
-			o.AliveSim++
-			o.SimPower += m.Power
-			if m.BusyTime > o.SimTime {
-				o.SimTime = m.BusyTime
-			}
-		case core.RoleAnalysis:
-			o.AliveAna++
-			o.AnaPower += m.Power
-			if m.BusyTime > o.AnaTime {
-				o.AnaTime = m.BusyTime
-			}
-		}
-		if m.Time > wall {
-			wall = m.Time
-		}
-	}
-	if o.AliveSim > 0 {
-		o.SimPower /= units.Watts(o.AliveSim)
-	}
-	if o.AliveAna > 0 {
-		o.AnaPower /= units.Watts(o.AliveAna)
-	}
-	o.Slack = trace.SyncRecord{SimTime: o.SimTime, AnaTime: o.AnaTime}.Slack()
-}
-
 // Result summarizes a finished episode, uniformly over both drivers.
 type Result struct {
 	// TotalTime is the job's main-loop wall time.
@@ -221,80 +144,18 @@ type Result struct {
 	Workflow *workflow.Result
 }
 
-// envProxy is the core.Policy the drivers run: its Allocate publishes
-// the measurements as an observation and blocks until the environment's
-// Step supplies the caps.
-type envProxy struct{ e *Env }
-
-// Name implements core.Policy.
-func (*envProxy) Name() string { return "rollout-env" }
-
-// Allocate implements core.Policy.
-func (p *envProxy) Allocate(step int, nodes []core.NodeMeasure) []units.Watts {
-	return p.e.publish(step, nodes)
-}
-
 // Env is a rollout environment. The zero value is not usable; call
-// NewEnv. An Env runs one episode at a time: Reset starts (or restarts)
-// an episode, Step advances it, Result reads the finished episode's
-// outcome. Env is not safe for concurrent use; run one Env per worker.
+// NewEnv. Env is not safe for concurrent use; run one Env per worker.
 //
-// An Env owns one driver goroutine that parks between episodes, plus
-// the pooled per-worker episode state (observation buffers and, for
-// space-shared specs, the reusable cosim.Episode). Resetting the same
-// spec — or one differing only in budget — replays the pooled episode
-// instead of rebuilding the node population, which is where batched
-// rollout throughput comes from. Close releases the goroutine; a
-// closed Env may be Reset again.
+// An Env pools the per-worker episode state: for space-shared specs,
+// the reusable cosim.Episode of the last job it ran. Rolling out the
+// same spec again — or one differing only in budget or policy —
+// replays the pooled episode instead of rebuilding the node
+// population, which is where batched rollout throughput comes from.
 type Env struct {
-	// mu/cond guard every field the driver goroutine shares with the
-	// caller; the rendezvous needs no channels and no per-step
-	// allocations.
-	mu   sync.Mutex
-	cond sync.Cond
-
-	// driver goroutine lifecycle.
-	started bool
-	closing bool
-	exited  chan struct{}
-
-	// Reset → driver episode handoff.
-	pendingRun func(context.Context) (*Result, error)
-	pendingCtx context.Context
-
-	// episode rendezvous state.
-	epoch     uint64 // current episode; stale context watchers check it
-	obsReady  bool
-	capsReady bool
-	caps      []units.Watts
-	obs       Observation
-	epDone    bool
-	abandoned bool
-	res       *Result
-	err       error
-
-	// caller-side episode bookkeeping (caller goroutine only).
-	hasEp  bool
-	fin    bool
-	cancel context.CancelFunc
-	stop   func() bool
-
-	// double-buffered observation measures, owned by the driver
-	// goroutine during an episode: the buffer published at step k stays
-	// intact while step k+1 fills the other one, so the caller may read
-	// its observation until the next Step call.
-	measBuf [2][]core.NodeMeasure
-	bufIdx  int
-
-	// pooled space-shared episode state.
-	proxy *envProxy
 	cache *StateCache
 	epKey string
 	ep    *cosim.Episode
-
-	// pooled lane state for RolloutLanes, keyed like the episode pool.
-	lanesKey string
-	lanes    *cosim.Lanes
 }
 
 // NewEnv returns an idle environment with a private state cache.
@@ -307,269 +168,72 @@ func NewEnvWith(cache *StateCache) *Env {
 	if cache == nil {
 		cache = NewStateCache()
 	}
-	e := &Env{cache: cache}
-	e.cond.L = &e.mu
-	e.proxy = &envProxy{e}
-	return e
+	return &Env{cache: cache}
 }
 
-// publish hands one decision point to the caller and blocks the driver
-// until Step supplies the caps (nil once the episode is abandoned).
-// Runs on the driver goroutine only.
-func (e *Env) publish(step int, nodes []core.NodeMeasure) []units.Watts {
-	// Copy into the inactive buffer and aggregate outside the lock: the
-	// driver owns both buffers during an episode, and the mutex handoff
-	// below publishes the writes to the caller.
-	buf := e.measBuf[e.bufIdx]
-	if cap(buf) < len(nodes) {
-		buf = make([]core.NodeMeasure, len(nodes))
-	}
-	buf = buf[:len(nodes)]
-	copy(buf, nodes)
-	e.measBuf[e.bufIdx] = buf
-	e.bufIdx ^= 1
-	o := Observation{Step: step, Measures: buf}
-	o.aggregate()
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.abandoned {
-		return nil
-	}
-	e.obs = o
-	e.obsReady = true
-	e.cond.Broadcast()
-	for !e.capsReady && !e.abandoned {
-		e.cond.Wait()
-	}
-	if e.abandoned {
-		return nil
-	}
-	e.capsReady = false
-	caps := e.caps
-	e.caps = nil
-	return caps
+// Close drops the pooled episode state. A closed Env may be used again;
+// its next space-shared rollout rebuilds the node population.
+func (e *Env) Close() {
+	e.epKey, e.ep = "", nil
 }
 
-// driverLoop is the Env's single driver goroutine: it parks between
-// episodes and runs each posted episode to completion.
-func (e *Env) driverLoop() {
-	e.mu.Lock()
-	for {
-		for e.pendingRun == nil && !e.closing {
-			e.cond.Wait()
-		}
-		if e.closing {
-			close(e.exited)
-			e.mu.Unlock()
-			return
-		}
-		run, ctx := e.pendingRun, e.pendingCtx
-		e.pendingRun, e.pendingCtx = nil, nil
-		e.mu.Unlock()
-
-		res, err := run(ctx)
-
-		e.mu.Lock()
-		e.res, e.err = res, err
-		e.epDone = true
-		e.cond.Broadcast()
-	}
-}
-
-// abandon unwinds the current episode, if any: it cancels the episode
-// context, wakes a driver parked at a decision point and waits for the
-// run to return. After abandon the driver goroutine is parked again
-// (or was never started) and no episode is active.
-func (e *Env) abandon() {
-	if !e.hasEp {
-		return
-	}
-	e.cancel()
-	e.stop()
-	e.mu.Lock()
-	if !e.epDone {
-		e.abandoned = true
-		e.cond.Broadcast()
-		for !e.epDone {
-			e.cond.Wait()
-		}
-	}
-	e.mu.Unlock()
-	e.cancel, e.stop = nil, nil
-	e.hasEp, e.fin = false, false
-}
-
-// Reset starts a new episode from spec and returns the first
-// observation — the measurements of the first synchronization interval,
-// exactly as the in-loop policy would first see them. A previous
-// unfinished episode is abandoned (its driver unwinds via context
-// cancellation). Reset is ResetContext with a background context.
-func (e *Env) Reset(spec Spec) (Observation, error) {
-	return e.ResetContext(context.Background(), spec)
-}
-
-// ResetContext is Reset under a caller-supplied context: cancelling ctx
-// abandons the episode — a blocked Step returns done promptly and
-// Result reports the context's error.
-func (e *Env) ResetContext(ctx context.Context, spec Spec) (Observation, error) {
+// Rollout drives one full episode of spec on e with pol supplying every
+// action, invoked in-loop at each synchronization on the caller's
+// goroutine. A cancelled ctx stops the episode at the next
+// synchronization with ctx.Err() and no Result. Reusing one Env across
+// Rollout calls keeps the pooled episode state warm; it is how Batch
+// workers run their cells and the subject of BenchmarkRollouts.
+//
+// Space-shared specs without telemetry go through the episode pool: the
+// shared cache supplies the job's immutable precompute and the Env
+// keeps the last job's Episode (node population and scratch) alive.
+func (e *Env) Rollout(ctx context.Context, spec Spec, pol core.Policy) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	e.abandon()
-
-	runp, err := e.compile(spec)
-	if err != nil {
-		return Observation{}, err
-	}
-	// The driver plays the proxy policy: every allocation round trips
-	// through the step rendezvous.
-	run := func(ctx context.Context) (*Result, error) { return runp(ctx, e.proxy) }
-	epCtx, cancel := context.WithCancel(ctx)
-
-	e.mu.Lock()
-	e.epoch++
-	epoch := e.epoch
-	e.obsReady, e.capsReady, e.epDone, e.abandoned = false, false, false, false
-	e.res, e.err, e.caps = nil, nil, nil
-	if !e.started {
-		e.started = true
-		e.exited = make(chan struct{})
-		go e.driverLoop()
-	}
-	e.pendingRun, e.pendingCtx = run, epCtx
-	e.cond.Broadcast()
-	e.mu.Unlock()
-
-	// The context watcher replaces the old per-step select on
-	// ctx.Done(): one AfterFunc per episode instead of two channel
-	// waits per step. The epoch guard keeps a late firing from
-	// touching a successor episode.
-	stop := context.AfterFunc(epCtx, func() {
-		e.mu.Lock()
-		if e.epoch == epoch {
-			e.abandoned = true
-			e.cond.Broadcast()
-		}
-		e.mu.Unlock()
-	})
-	e.cancel, e.stop = cancel, stop
-	e.hasEp, e.fin = true, false
-
-	e.mu.Lock()
-	for !e.obsReady && !e.epDone {
-		e.cond.Wait()
-	}
-	if e.epDone {
-		// The episode ended before the first allocation (error, or a
-		// workload with no capped syncs).
-		err := e.err
-		e.mu.Unlock()
-		e.fin = true
+	if spec.Topology != "" && spec.Topology != "space-shared" {
+		topo, err := workflow.Build(spec.Topology, workflow.Params{
+			Nodes:    spec.Workload.SimNodes + spec.Workload.AnaNodes,
+			Dim:      spec.Workload.Dim,
+			J:        spec.Workload.J,
+			Steps:    spec.Workload.Steps,
+			Analyses: spec.Workload.Analyses,
+		})
 		if err != nil {
-			return Observation{}, err
+			return nil, fmt.Errorf("rollout: %w", err)
 		}
-		return Observation{}, fmt.Errorf("rollout: episode finished before the first observation")
-	}
-	o := e.obs
-	e.obsReady = false
-	e.mu.Unlock()
-	return o, nil
-}
-
-// Step applies the action — per-node caps aligned with the previous
-// observation's Measures, or nil to leave caps unchanged — and runs the
-// episode to the next decision point. done reports episode completion;
-// after done, read the outcome with Result.
-func (e *Env) Step(caps []units.Watts) (Observation, bool) {
-	if !e.hasEp || e.fin {
-		return Observation{}, true
-	}
-	e.mu.Lock()
-	e.caps = caps
-	e.capsReady = true
-	e.cond.Broadcast()
-	for !e.obsReady && !e.epDone {
-		e.cond.Wait()
-	}
-	if e.epDone {
-		e.mu.Unlock()
-		e.fin = true
-		return Observation{}, true
-	}
-	o := e.obs
-	e.obsReady = false
-	e.mu.Unlock()
-	return o, false
-}
-
-// Result returns the finished episode's outcome. Calling it before Step
-// reported done is an error. The Result owns all its storage; it stays
-// valid across later Resets of the same Env.
-func (e *Env) Result() (*Result, error) {
-	if !e.hasEp {
-		return nil, fmt.Errorf("rollout: no episode started")
-	}
-	if !e.fin {
-		return nil, fmt.Errorf("rollout: episode still running")
-	}
-	e.mu.Lock()
-	res, err := e.res, e.err
-	e.mu.Unlock()
-	return res, err
-}
-
-// Close abandons the current episode, if any, and parks then releases
-// the driver goroutine. A closed Env may be Reset again.
-func (e *Env) Close() {
-	e.abandon()
-	e.mu.Lock()
-	if !e.started {
-		e.mu.Unlock()
-		return
-	}
-	e.closing = true
-	e.cond.Broadcast()
-	exited := e.exited
-	e.mu.Unlock()
-	<-exited
-	e.mu.Lock()
-	e.started, e.closing = false, false
-	e.exited = nil
-	e.mu.Unlock()
-}
-
-// compile turns the spec into a runner parameterized on the acting
-// policy: the driver goroutine plays the step-API proxy through it,
-// while Rollout plugs the caller's policy in directly.
-// Space-shared specs without telemetry go through the episode pool: the
-// shared cache supplies the job's immutable precompute and the Env
-// keeps the last spec's Episode (node population and scratch) alive, so
-// repeated Resets of one job replay it instead of rebuilding it.
-func (e *Env) compile(spec Spec) (func(context.Context, core.Policy) (*Result, error), error) {
-	if spec.Topology == "" || spec.Topology == "space-shared" {
-		if spec.Telemetry != nil {
-			// Instrumented episodes run the plain one-shot driver,
-			// which keeps the job's noise trace off the heap (see
-			// Spec.Telemetry).
-			cfg := spec.cosimConfig(nil)
-			return func(ctx context.Context, pol core.Policy) (*Result, error) {
-				c := cfg
-				c.Policy = pol
-				res, err := cosim.Run(ctx, c)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{
-					TotalTime:   res.TotalTime,
-					TotalEnergy: res.TotalEnergy,
-					SyncLog:     res.SyncLog,
-					Cosim:       res,
-				}, nil
-			}, nil
+		res, err := workflow.Run(ctx, workflow.Config{
+			Graph:       topo.Graph,
+			Steps:       spec.Workload.Steps,
+			SyncEvery:   spec.Workload.J,
+			Policy:      pol,
+			Constraints: topo.ScaleCaps(spec.constraints(topo.PhysicalNodes)),
+			Seed:        spec.Seed,
+			RunSeed:     spec.RunSeed,
+			Noise:       spec.Noise,
+			Faults:      spec.Faults,
+			Classes:     spec.Classes,
+			Telemetry:   spec.Telemetry,
+		})
+		if err != nil {
+			return nil, err
 		}
-		key := spec.jobKey()
-		if e.ep == nil || e.epKey != key {
+		return &Result{
+			TotalTime:   res.MainLoopTime,
+			TotalEnergy: res.TotalEnergy,
+			SyncLog:     res.SyncLog,
+			Workflow:    res,
+		}, nil
+	}
+
+	var res *cosim.Result
+	var err error
+	if spec.Telemetry != nil {
+		// Instrumented episodes run the plain one-shot driver, which
+		// keeps the job's noise trace off the heap (see Spec.Telemetry).
+		res, err = cosim.Run(ctx, spec.cosimConfig(pol))
+	} else {
+		if key := spec.jobKey(); e.ep == nil || e.epKey != key {
 			st, err := e.cache.state(key, spec.cosimConfig(nil))
 			if err != nil {
 				return nil, err
@@ -580,151 +244,21 @@ func (e *Env) compile(spec Spec) (func(context.Context, core.Policy) (*Result, e
 			}
 			e.epKey, e.ep = key, ep
 		}
-		ep := e.ep
-		prm := cosim.EpisodeParams{
+		res, err = e.ep.Run(ctx, cosim.EpisodeParams{
+			Policy:      pol,
 			Constraints: spec.constraints(spec.Workload.SimNodes + spec.Workload.AnaNodes),
 			CapMode:     cosim.CapLong,
-		}
-		return func(ctx context.Context, pol core.Policy) (*Result, error) {
-			p := prm
-			p.Policy = pol
-			res, err := ep.Run(ctx, p)
-			if err != nil {
-				return nil, err
-			}
-			return &Result{
-				TotalTime:   res.TotalTime,
-				TotalEnergy: res.TotalEnergy,
-				SyncLog:     res.SyncLog,
-				Cosim:       res,
-			}, nil
-		}, nil
+		})
 	}
-
-	topo, err := workflow.Build(spec.Topology, workflow.Params{
-		Nodes:    spec.Workload.SimNodes + spec.Workload.AnaNodes,
-		Dim:      spec.Workload.Dim,
-		J:        spec.Workload.J,
-		Steps:    spec.Workload.Steps,
-		Analyses: spec.Workload.Analyses,
-	})
 	if err != nil {
-		return nil, fmt.Errorf("rollout: %w", err)
+		return nil, err
 	}
-	cfg := workflow.Config{
-		Graph:       topo.Graph,
-		Steps:       spec.Workload.Steps,
-		SyncEvery:   spec.Workload.J,
-		Constraints: topo.ScaleCaps(spec.constraints(topo.PhysicalNodes)),
-		Seed:        spec.Seed,
-		RunSeed:     spec.RunSeed,
-		Noise:       spec.Noise,
-		Faults:      spec.Faults,
-		Classes:     spec.Classes,
-		Telemetry:   spec.Telemetry,
-	}
-	return func(ctx context.Context, pol core.Policy) (*Result, error) {
-		c := cfg
-		c.Policy = pol
-		res, err := workflow.Run(ctx, c)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{
-			TotalTime:   res.MainLoopTime,
-			TotalEnergy: res.TotalEnergy,
-			SyncLog:     res.SyncLog,
-			Workflow:    res,
-		}, nil
+	return &Result{
+		TotalTime:   res.TotalTime,
+		TotalEnergy: res.TotalEnergy,
+		SyncLog:     res.SyncLog,
+		Cosim:       res,
 	}, nil
-}
-
-// Rollout drives one full episode of spec on e with pol supplying every
-// action. The policy is in-process, so there is nothing to rendezvous
-// with: the episode runs on the caller's goroutine with pol invoked at
-// each synchronization directly — byte-identical to self-play over the
-// step API (the proxy feeds the policy the same measures), minus the
-// driver wakeups and observation copies per step. Reusing one Env
-// across Rollout calls keeps the pooled episode state warm; it is how
-// Batch workers run their cells and the subject of BenchmarkRollouts.
-func (e *Env) Rollout(ctx context.Context, spec Spec, pol core.Policy) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	e.abandon()
-	run, err := e.compile(spec)
-	if err != nil {
-		return nil, err
-	}
-	return run(ctx, pol)
-}
-
-// RolloutLanes drives len(specs) episodes of one job in lockstep
-// through a pooled cosim.Lanes, pols[i] supplying specs[i]'s actions.
-// All specs must be space-shared, uninstrumented, and share one job key
-// — i.e. differ only in budget/constraints — which is exactly the shape
-// of a grid sweep's key group; Batch carves its points into such lanes.
-// Results are in specs order and byte-identical to Rollout of each
-// spec alone (the lane goldens pin this); the lockstep only changes
-// which episode's window executes next, so the job's phase tables and
-// memoized noise traces are read once per window instead of once per
-// episode.
-func (e *Env) RolloutLanes(ctx context.Context, specs []Spec, pols []core.Policy) ([]*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if len(specs) == 0 {
-		return nil, nil
-	}
-	if len(specs) != len(pols) {
-		return nil, fmt.Errorf("rollout: %d specs, %d policies", len(specs), len(pols))
-	}
-	key := specs[0].jobKey()
-	for i, s := range specs {
-		if s.Topology != "" && s.Topology != "space-shared" {
-			return nil, fmt.Errorf("rollout: lane %d topology %q (lanes are space-shared only)", i, s.Topology)
-		}
-		if s.Telemetry != nil {
-			return nil, fmt.Errorf("rollout: lane %d is instrumented (lanes bypass telemetry)", i)
-		}
-		if i > 0 && s.jobKey() != key {
-			return nil, fmt.Errorf("rollout: lane %d job differs from lane 0 (lanes share one job)", i)
-		}
-	}
-	e.abandon()
-	if e.lanes == nil || e.lanesKey != key || e.lanes.Width() < len(specs) {
-		st, err := e.cache.state(key, specs[0].cosimConfig(nil))
-		if err != nil {
-			return nil, err
-		}
-		lanes, err := st.NewLanes(len(specs))
-		if err != nil {
-			return nil, err
-		}
-		e.lanesKey, e.lanes = key, lanes
-	}
-	prms := make([]cosim.EpisodeParams, len(specs))
-	for i, s := range specs {
-		prms[i] = cosim.EpisodeParams{
-			Policy:      pols[i],
-			Constraints: s.constraints(s.Workload.SimNodes + s.Workload.AnaNodes),
-			CapMode:     cosim.CapLong,
-		}
-	}
-	rs, err := e.lanes.Run(ctx, prms)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Result, len(rs))
-	for i, r := range rs {
-		out[i] = &Result{
-			TotalTime:   r.TotalTime,
-			TotalEnergy: r.TotalEnergy,
-			SyncLog:     r.SyncLog,
-			Cosim:       r,
-		}
-	}
-	return out, nil
 }
 
 // Run drives one full episode of spec with pol supplying every action,

@@ -46,8 +46,9 @@ func syncCSV(t *testing.T, log *trace.SyncLog) []byte {
 }
 
 // TestEnvByteIdenticalToInLoopCosim pins the package's core contract:
-// a registry policy driven through the Env step API reproduces the
-// space-shared driver's in-loop execution byte for byte.
+// a registry policy rolled out through a pooled Env (shared JobState,
+// memoized noise, pre-adapted phase tables) reproduces the one-shot
+// space-shared driver's execution byte for byte.
 func TestEnvByteIdenticalToInLoopCosim(t *testing.T) {
 	for _, name := range policy.Names() {
 		t.Run(name, func(t *testing.T) {
@@ -94,7 +95,9 @@ func TestEnvByteIdenticalToInLoopCosim(t *testing.T) {
 }
 
 // TestEnvByteIdenticalToInLoopWorkflow is the same contract over the
-// workflow driver (dag and in-transit placements).
+// workflow driver (dag and in-transit placements): a rollout of a
+// non-space-shared topology is the workflow engine run on the
+// topology's graph with the policy in-loop.
 func TestEnvByteIdenticalToInLoopWorkflow(t *testing.T) {
 	for _, topology := range []string{"dag", "in-transit"} {
 		t.Run(topology, func(t *testing.T) {
@@ -147,80 +150,6 @@ func TestEnvByteIdenticalToInLoopWorkflow(t *testing.T) {
 				t.Error("env SyncLog diverges from in-loop SyncLog")
 			}
 		})
-	}
-}
-
-// TestEnvStepAPI exercises the explicit Reset/Step/Result loop: the
-// observation stream covers every sync, aggregates are filled, and
-// Result is gated on completion.
-func TestEnvStepAPI(t *testing.T) {
-	env := NewEnv()
-	defer env.Close()
-
-	spec := testSpec("", t)
-	obs, err := env.Reset(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if obs.Step != 1 {
-		t.Fatalf("first observation at step %d, want 1", obs.Step)
-	}
-	if len(obs.Measures) != 8 {
-		t.Fatalf("observation has %d measures, want 8", len(obs.Measures))
-	}
-	if obs.AliveSim != 4 || obs.AliveAna != 4 {
-		t.Errorf("alive counts %d/%d, want 4/4", obs.AliveSim, obs.AliveAna)
-	}
-	if obs.SimPower <= 0 || obs.SimTime <= 0 {
-		t.Errorf("aggregates not filled: %+v", obs)
-	}
-	if _, err := env.Result(); err == nil {
-		t.Error("Result succeeded mid-episode")
-	}
-
-	steps := 1
-	for {
-		next, done := env.Step(nil) // nil action: leave caps unchanged
-		if done {
-			break
-		}
-		if next.Step != obs.Step+1 {
-			t.Fatalf("observation step %d after %d", next.Step, obs.Step)
-		}
-		obs = next
-		steps++
-	}
-	if steps != spec.Workload.Steps {
-		t.Errorf("saw %d observations, want %d", steps, spec.Workload.Steps)
-	}
-	res, err := env.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalTime <= 0 || len(res.SyncLog.Records) != spec.Workload.Steps {
-		t.Errorf("result incomplete: time %v, %d records", res.TotalTime, len(res.SyncLog.Records))
-	}
-}
-
-// TestEnvResetAbandonsEpisode: Reset mid-episode must unwind the old
-// driver and start clean.
-func TestEnvResetAbandonsEpisode(t *testing.T) {
-	env := NewEnv()
-	defer env.Close()
-
-	spec := testSpec("", t)
-	if _, err := env.Reset(spec); err != nil {
-		t.Fatal(err)
-	}
-	if _, done := env.Step(nil); done {
-		t.Fatal("episode ended after one step")
-	}
-	obs, err := env.Reset(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if obs.Step != 1 {
-		t.Fatalf("restarted episode observes step %d, want 1", obs.Step)
 	}
 }
 

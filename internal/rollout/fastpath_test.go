@@ -3,9 +3,10 @@ package rollout
 import (
 	"bytes"
 	"context"
-	"sync/atomic"
+	"errors"
 	"testing"
 
+	"seesaw/internal/core"
 	"seesaw/internal/cosim"
 	"seesaw/internal/machine"
 	"seesaw/internal/policy"
@@ -14,8 +15,7 @@ import (
 )
 
 // TestEnvPooledMatchesFresh pins the episode-reuse contract: replaying
-// a spec on one Env — pooled cluster, pooled scratch, parked driver
-// goroutine — produces byte-identical reports to a fresh in-loop run,
+// a spec on one Env — pooled cluster, pooled scratch — produces byte-identical reports to a fresh in-loop run,
 // every time, for both drivers.
 func TestEnvPooledMatchesFresh(t *testing.T) {
 	t.Run("space-shared", func(t *testing.T) {
@@ -142,46 +142,78 @@ func TestEnvPooledAcrossEpisodeParams(t *testing.T) {
 	}
 }
 
-// TestStepZeroAllocs is the fast path's allocation gate: once an
-// episode is warm, advancing it — driver goroutine, rendezvous,
-// observation publication and the whole cosim interval loop — must not
-// allocate at all.
-func TestStepZeroAllocs(t *testing.T) {
+// TestRolloutAllocs is the fast path's allocation gate: once an Env is
+// warm, a pooled rollout — cluster reset, the whole cosim interval
+// loop and the Result — allocates a fixed handful of objects, however
+// many synchronizations the episode has. The bound is the count the
+// pooled path had when this gate was set; growth here is a per-episode
+// allocation regression.
+func TestRolloutAllocs(t *testing.T) {
+	if raceEnabled {
+		// The race runtime drops sync.Pool entries at random (fmt's
+		// printer cache among them), so counts there are noisy.
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	const maxAllocs = 14
 	spec := Spec{
 		Workload: workload.Spec{
 			SimNodes: 4, AnaNodes: 4,
-			Dim: 8, J: 1, Steps: 4000,
+			Dim: 8, J: 1, Steps: 40,
 			Analyses: workload.Tasks("msd"),
 		},
 		Seed:    21,
 		RunSeed: 22,
 		Noise:   machine.DefaultNoise(),
 	}
+	const runs = 100
+	// Policies are built up front so only the rollout is measured.
+	pols := make([]core.Policy, runs+2)
+	for i := range pols {
+		p, err := policy.New("seesaw", spec.constraints(8), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pols[i] = p
+	}
 	env := NewEnv()
 	defer env.Close()
-	if _, err := env.Reset(spec); err != nil {
-		t.Fatal(err)
-	}
-	// Warm the pools: measure buffers, RAPL windows, sync log backing.
-	for i := 0; i < 200; i++ {
-		if _, done := env.Step(nil); done {
-			t.Fatal("episode ended during warmup")
+	next := 0
+	rollout := func() {
+		if _, err := env.Rollout(context.Background(), spec, pols[next]); err != nil {
+			t.Fatal(err)
 		}
+		next++
 	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		if _, done := env.Step(nil); done {
-			t.Fatal("episode ended during measurement")
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state Step allocates %.1f objects/step, want 0", allocs)
+	rollout() // warm the pool: JobState, Episode, RAPL windows
+	if allocs := testing.AllocsPerRun(runs, rollout); allocs > maxAllocs {
+		t.Errorf("warm pooled Rollout allocates %.0f objects, want <= %d", allocs, maxAllocs)
 	}
 }
 
+// raceEnabled reports a -race build (set in race_test.go).
+var raceEnabled bool
+
+// cancelAt wraps a policy and cancels the episode's context from inside
+// its Allocate at one synchronization step.
+type cancelAt struct {
+	core.Policy
+	step   int
+	cancel context.CancelFunc
+}
+
+// Allocate implements core.Policy.
+func (c *cancelAt) Allocate(step int, nodes []core.NodeMeasure) []units.Watts {
+	if step == c.step {
+		c.cancel()
+	}
+	return c.Policy.Allocate(step, nodes)
+}
+
 // TestEnvPooledHammer drives thousands of pooled episodes through one
-// Env — interleaved with mid-episode abandons and context cancels — to
-// shake out rendezvous races (run under -race in CI) and pool
-// corruption across episode boundaries.
+// Env — interleaved with episodes cancelled mid-run from inside the
+// policy — to shake out pool corruption across episode boundaries
+// (run under -race in CI): every rollout after a cancelled one must
+// replay the fresh run's bytes.
 func TestEnvPooledHammer(t *testing.T) {
 	episodes := 10000
 	if testing.Short() {
@@ -209,96 +241,104 @@ func TestEnvPooledHammer(t *testing.T) {
 
 	env := NewEnv()
 	defer env.Close()
-	var completed atomic.Int64
+	completed, cancelled := 0, 0
 	for i := 0; i < episodes; i++ {
-		switch i % 5 {
-		case 3:
-			// Abandon mid-episode: the next Reset must unwind cleanly
-			// and the pool must replay from scratch.
-			if _, err := env.Reset(spec); err != nil {
-				t.Fatal(err)
-			}
-			env.Step(nil)
-		case 4:
-			// Cancel mid-episode: Step reports done promptly and
-			// Result surfaces the context error.
+		p, err := policy.New("seesaw", spec.constraints(4), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%5 >= 3 {
+			// Cancel mid-episode at a step that cycles through every
+			// synchronization but the last (after the last one there is
+			// no further context check and the episode completes).
 			ctx, cancel := context.WithCancel(context.Background())
-			if _, err := env.ResetContext(ctx, spec); err != nil {
-				t.Fatal(err)
-			}
-			env.Step(nil)
+			k := 1 + (i/5)%(spec.Workload.Steps-1)
+			res, err := env.Rollout(ctx, spec, &cancelAt{Policy: p, step: k, cancel: cancel})
 			cancel()
-			for {
-				if _, done := env.Step(nil); done {
-					break
-				}
+			if !errors.Is(err, context.Canceled) || res != nil {
+				t.Fatalf("episode %d cancelled at step %d: res %v, err %v; want no result and context.Canceled", i, k, res, err)
 			}
-			if _, err := env.Result(); err == nil {
-				t.Fatal("cancelled episode reported no error")
-			}
-		default:
-			p, err := policy.New("seesaw", spec.constraints(4), 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := env.Rollout(context.Background(), spec, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(syncCSV(t, res.SyncLog), wantCSV) {
-				t.Fatalf("episode %d diverges after pooled replay", i)
-			}
-			completed.Add(1)
+			cancelled++
+			continue
 		}
+		res, err := env.Rollout(context.Background(), spec, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(syncCSV(t, res.SyncLog), wantCSV) {
+			t.Fatalf("episode %d diverges after pooled replay", i)
+		}
+		completed++
 	}
-	if completed.Load() == 0 {
-		t.Fatal("no episodes completed")
+	if completed == 0 || cancelled == 0 {
+		t.Fatalf("%d episodes completed, %d cancelled; want both", completed, cancelled)
 	}
 }
 
-// TestObservationClone pins the retention contract: a Clone stays
-// intact when the Env advances and overwrites its buffers.
-func TestObservationClone(t *testing.T) {
-	spec := testSpec("", t)
-	env := NewEnv()
-	defer env.Close()
-	obs, err := env.Reset(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clone := obs.Clone()
-	if &clone.Measures[0] == &obs.Measures[0] {
-		t.Fatal("Clone aliases the Env's buffer")
-	}
-	snapshot := append([]units.Watts(nil), func() []units.Watts {
-		caps := make([]units.Watts, len(clone.Measures))
-		for i, m := range clone.Measures {
-			caps[i] = m.Cap
-		}
-		return caps
-	}()...)
-	// Advance well past the double buffer's reuse horizon.
-	for i := 0; i < 4; i++ {
-		if _, done := env.Step(nil); done {
-			t.Fatal("episode ended early")
-		}
-	}
-	for i, m := range clone.Measures {
-		if m.Cap != snapshot[i] {
-			t.Fatalf("clone mutated at node %d after steps", i)
-		}
-	}
-}
-
-// TestResetContextCancelled pins satellite semantics: the context
-// passed to ResetContext governs the whole episode.
-func TestResetContextCancelled(t *testing.T) {
+// TestRolloutCancelledContext: a rollout under an already-cancelled
+// context returns the context's error and no result, on the pooled
+// space-shared path and on the workflow path alike.
+func TestRolloutCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	env := NewEnv()
 	defer env.Close()
-	if _, err := env.ResetContext(ctx, testSpec("", t)); err == nil {
-		t.Fatal("Reset under a cancelled context succeeded")
+	for _, topology := range []string{"", "dag"} {
+		spec := testSpec(topology, t)
+		pol, err := policy.New("seesaw", spec.constraints(8), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := env.Rollout(ctx, spec, pol)
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Errorf("topology %q: res %v, err %v; want no result and context.Canceled", topology, res, err)
+		}
+	}
+}
+
+// TestNoiseMemoGolden pins the memoization contract end to end: a
+// memoized episode (noise trace recorded once, replayed thereafter) is
+// byte-identical to the same spec with NoNoiseMemo — every jitter
+// variate drawn live from the node streams.
+func TestNoiseMemoGolden(t *testing.T) {
+	spec := testSpec("", t)
+	spec.Faults = nil // fault-free so the memo path actually engages
+	n := spec.Workload.SimNodes + spec.Workload.AnaNodes
+
+	run := func(s Spec) *Result {
+		t.Helper()
+		pol, err := policy.New("seesaw", s.constraints(n), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := NewEnv()
+		defer env.Close()
+		// Two rollouts: the second replays the recorded trace (or, with
+		// NoNoiseMemo, redraws live) over the pooled episode.
+		if _, err := env.Rollout(context.Background(), s, pol); err != nil {
+			t.Fatal(err)
+		}
+		pol, err = policy.New("seesaw", s.constraints(n), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := env.Rollout(context.Background(), s, pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	memo := run(spec)
+	live := spec
+	live.NoNoiseMemo = true
+	liveRes := run(live)
+
+	if memo.TotalTime != liveRes.TotalTime || memo.TotalEnergy != liveRes.TotalEnergy {
+		t.Error("memoized totals diverge from live draws")
+	}
+	if !bytes.Equal(syncCSV(t, memo.SyncLog), syncCSV(t, liveRes.SyncLog)) {
+		t.Error("memoized SyncLog diverges from live draws")
 	}
 }
 
