@@ -108,19 +108,24 @@ bench-rollouts-profile:
 		-cpuprofile rollout.cpu.out -memprofile rollout.mem.out ./internal/rollout/
 
 # memo-golden-smoke pins the noise-trace memoization end to end at the
-# CLI: the same small search grid with memoization on and with
+# CLI: the same small search grids with memoization on and with
 # -no-noise-memo must print byte-identical reports (replay is
-# byte-identical to live draws by construction).
+# byte-identical to live draws by construction). The second grid adds
+# kills, a slow excursion and a device-class map, whose jobs share one
+# recorded trace.
+MEMO_GRID = -nodes 8 -steps 20 -budgets 105,110 -policies seesaw,time-aware
+MEMO_FAULTED = -faults none,kill:2@4,slow:5@3x2+4 -classes 'uniform;0-1:gpu'
+
 memo-golden-smoke:
 	@tmp="$${TMPDIR:-/tmp}"; \
-	$(GO) run ./cmd/seesawctl search -nodes 8 -steps 20 -budgets 105,110 \
-		-policies seesaw,time-aware > "$$tmp/seesaw-memo-on.txt" && \
-	$(GO) run ./cmd/seesawctl search -nodes 8 -steps 20 -budgets 105,110 \
-		-policies seesaw,time-aware -no-noise-memo > "$$tmp/seesaw-memo-off.txt" && \
-	if ! cmp -s "$$tmp/seesaw-memo-on.txt" "$$tmp/seesaw-memo-off.txt"; then \
-		echo "memo-on vs -no-noise-memo reports diverge:"; \
-		diff "$$tmp/seesaw-memo-on.txt" "$$tmp/seesaw-memo-off.txt"; exit 1; \
-	fi; \
+	for extra in "" "$(MEMO_FAULTED)"; do \
+		eval "$(GO) run ./cmd/seesawctl search $(MEMO_GRID) $$extra" > "$$tmp/seesaw-memo-on.txt" && \
+		eval "$(GO) run ./cmd/seesawctl search $(MEMO_GRID) $$extra -no-noise-memo" > "$$tmp/seesaw-memo-off.txt" || exit 1; \
+		if ! cmp -s "$$tmp/seesaw-memo-on.txt" "$$tmp/seesaw-memo-off.txt"; then \
+			echo "memo-on vs -no-noise-memo reports diverge ($(MEMO_GRID) $$extra):"; \
+			diff "$$tmp/seesaw-memo-on.txt" "$$tmp/seesaw-memo-off.txt"; exit 1; \
+		fi; \
+	done; \
 	rm -f "$$tmp/seesaw-memo-on.txt" "$$tmp/seesaw-memo-off.txt"; \
 	echo "memo golden smoke ok: memoized and live reports are byte-identical"
 

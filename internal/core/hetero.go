@@ -16,8 +16,8 @@ import (
 // heteroNodes reports whether any measurement carries class
 // capability; the cluster layer sets Weight on every node or none.
 func heteroNodes(nodes []NodeMeasure) bool {
-	for _, n := range nodes {
-		if n.NodeCapability.Hetero() {
+	for i := range nodes {
+		if nodes[i].NodeCapability.Hetero() {
 			return true
 		}
 	}

@@ -45,7 +45,8 @@ func (ip *instrumented) Name() string { return ip.inner.Name() }
 // into the partition power histograms, so the hub sees the same
 // (time, power, cap) stream the policy does.
 func (ip *instrumented) Allocate(step int, nodes []NodeMeasure) []units.Watts {
-	for _, n := range nodes {
+	for i := range nodes {
+		n := &nodes[i]
 		switch n.Role {
 		case RoleSimulation:
 			ip.powerSimM.Observe(float64(n.Power))
@@ -61,10 +62,11 @@ func (ip *instrumented) Allocate(step int, nodes []NodeMeasure) []units.Watts {
 	}
 	var prevSim, prevAna, newSim, newAna float64
 	var haveSim, haveAna bool
-	for i, n := range nodes {
+	for i := range nodes {
 		if i >= len(caps) {
 			break
 		}
+		n := &nodes[i]
 		switch {
 		case n.Role == RoleSimulation && !haveSim:
 			prevSim, newSim, haveSim = float64(n.Cap), float64(caps[i]), true

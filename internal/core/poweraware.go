@@ -88,7 +88,8 @@ func (p *PowerAware) Allocate(step int, nodes []NodeMeasure) []units.Watts {
 	caps := make([]units.Watts, len(nodes))
 	needy := make([]int, 0, len(nodes))
 	alive := 0
-	for i, n := range nodes {
+	for i := range nodes {
+		n := &nodes[i]
 		if n.Health == Dead {
 			// Dead nodes hold no cap; their budget share returns to
 			// the survivors in the re-anchor pass below.
@@ -110,7 +111,8 @@ func (p *PowerAware) Allocate(step int, nodes []NodeMeasure) []units.Watts {
 	}
 
 	var pool units.Watts
-	for i, n := range nodes {
+	for i := range nodes {
+		n := &nodes[i]
 		if n.Health == Dead || n.Power >= n.Cap-p.cfg.AtCapMargin {
 			continue
 		}
@@ -128,7 +130,8 @@ func (p *PowerAware) Allocate(step int, nodes []NodeMeasure) []units.Watts {
 	// (a dead node's former share) joins the pool, bounded by what the
 	// survivors can absorb under delta_max.
 	var capTotal units.Watts
-	for i, n := range nodes {
+	for i := range nodes {
+		n := &nodes[i]
 		if n.Health != Dead {
 			capTotal += caps[i]
 		}
@@ -137,7 +140,8 @@ func (p *PowerAware) Allocate(step int, nodes []NodeMeasure) []units.Watts {
 		maxTotal := c.MaxCap * units.Watts(alive)
 		if het {
 			maxTotal = 0
-			for _, n := range nodes {
+			for i := range nodes {
+				n := &nodes[i]
 				if n.Health == Dead {
 					continue
 				}
@@ -191,7 +195,8 @@ func (p *PowerAware) Allocate(step int, nodes []NodeMeasure) []units.Watts {
 	// needy nodes at all) is returned evenly so the budget isn't leaked.
 	if pool > 0 {
 		share := pool / units.Watts(alive)
-		for i, n := range nodes {
+		for i := range nodes {
+			n := &nodes[i]
 			if n.Health == Dead {
 				continue
 			}

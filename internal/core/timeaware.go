@@ -101,7 +101,7 @@ func (t *TimeAware) Allocate(step int, nodes []NodeMeasure) []units.Watts {
 	c := t.cfg.Constraints
 
 	// The balancer sees epoch (loop-iteration) times where available.
-	timeOf := func(n NodeMeasure) units.Seconds {
+	timeOf := func(n *NodeMeasure) units.Seconds {
 		if n.EpochTime > 0 {
 			return n.EpochTime
 		}
@@ -112,7 +112,8 @@ func (t *TimeAware) Allocate(step int, nodes []NodeMeasure) []units.Watts {
 	// Dead nodes report no time and never set the target.
 	var maxT units.Seconds
 	alive := 0
-	for _, n := range nodes {
+	for i := range nodes {
+		n := &nodes[i]
 		if n.Health == Dead {
 			continue
 		}
@@ -129,7 +130,8 @@ func (t *TimeAware) Allocate(step int, nodes []NodeMeasure) []units.Watts {
 	caps := make([]units.Watts, len(nodes))
 	var pool units.Watts
 	slow := make([]int, 0, len(nodes))
-	for i, n := range nodes {
+	for i := range nodes {
+		n := &nodes[i]
 		if n.Health == Dead {
 			// Dead nodes hold no cap; their former share re-enters
 			// the pool below.
@@ -155,7 +157,8 @@ func (t *TimeAware) Allocate(step int, nodes []NodeMeasure) []units.Watts {
 	// node's former share) joins the pool, bounded by what the
 	// survivors can absorb under delta_max.
 	var capTotal units.Watts
-	for i, n := range nodes {
+	for i := range nodes {
+		n := &nodes[i]
 		if n.Health != Dead {
 			capTotal += caps[i]
 		}
@@ -164,7 +167,8 @@ func (t *TimeAware) Allocate(step int, nodes []NodeMeasure) []units.Watts {
 		maxTotal := c.MaxCap * units.Watts(alive)
 		if heteroNodes(nodes) {
 			maxTotal = 0
-			for _, n := range nodes {
+			for i := range nodes {
+				n := &nodes[i]
 				if n.Health == Dead {
 					continue
 				}
@@ -199,7 +203,8 @@ func (t *TimeAware) Allocate(step int, nodes []NodeMeasure) []units.Watts {
 	// equally."
 	if pool > 0 {
 		share := pool / units.Watts(alive)
-		for i, n := range nodes {
+		for i := range nodes {
+			n := &nodes[i]
 			if n.Health == Dead {
 				continue
 			}

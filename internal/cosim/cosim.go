@@ -96,14 +96,21 @@ type Config struct {
 	// first node of each partition so power traces can be resampled
 	// (Figure 1).
 	TraceSegments bool
-	// NoNoiseMemo disables the per-node noise-trace memoization
-	// (jobstate.go): episodes draw every jitter variate live from the
-	// node streams instead of replaying the recorded trace. Replay is
-	// byte-identical by construction (the rollout goldens pin it); the
-	// flag is the escape hatch for excluding the memo layer when
-	// diagnosing a suspect run. One-shot Run sets it implicitly — a
-	// single episode gains nothing from recording its own draws.
+	// NoNoiseMemo disables the noise-trace memoization (jobstate.go):
+	// episodes draw every jitter variate live from the node streams
+	// instead of replaying the recorded trace. Replay is byte-identical
+	// by construction, faulted and class-mapped jobs included (the
+	// rollout memo goldens pin it); the flag is the escape hatch for
+	// excluding the memo layer when diagnosing a suspect run. One-shot
+	// Run sets it implicitly — a single episode gains nothing from
+	// recording its own draws.
 	NoNoiseMemo bool
+	// Traces, when non-nil, shares noise traces across JobStates:
+	// NewJobState takes the job's trace from the store instead of
+	// recording its own, so jobs differing only in dim, device classes
+	// or fault plan replay one trace. Nil records a private trace. The
+	// JobState does not retain the store.
+	Traces TraceStore
 	// Faults is an optional deterministic fault plan: node kills and
 	// slow-node excursions keyed to the synchronization schedule (an
 	// event planned for sync k is in force before interval k executes).
@@ -191,7 +198,8 @@ const epochWaitShare = 0.8
 func buildRecord(step int, measures []core.NodeMeasure, nSim int, overhead units.Seconds) trace.SyncRecord {
 	rec := trace.SyncRecord{Step: step, Overhead: overhead}
 	var nS, nA int
-	for _, m := range measures {
+	for i := range measures {
+		m := &measures[i]
 		if m.Health == core.Dead {
 			continue // corpses carry no time or power
 		}

@@ -2,6 +2,7 @@ package cosim
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -207,5 +208,51 @@ func TestDeadAnalysisNodeRebalance(t *testing.T) {
 	}
 	if !units.NearlyEqual(float64(live), float64(cons.Budget), 1e-6) {
 		t.Errorf("live caps sum to %v, want budget %v", live, cons.Budget)
+	}
+}
+
+// TestEpisodeReplayMatchesLiveRun pins the one window loop on a traced,
+// faulted job: a memoized Episode, run twice over one node population
+// (the second run resets the health view and the work-scaled tables),
+// reproduces the one-shot live-RNG run's totals, fault log and power
+// segments exactly.
+func TestEpisodeReplayMatchesLiveRun(t *testing.T) {
+	cons := smallCons()
+	cfg := Config{Spec: smallSpec(), Constraints: cons, CapMode: CapLong, Seed: 6, RunSeed: 7,
+		Noise: machine.DefaultNoise(), TraceSegments: true,
+		Faults: mustPlan(t, "slow:5@3x2+8,kill:1@10,kill:5@6")}
+	newPolicy := func() core.Policy {
+		return core.MustNewSeeSAw(core.SeeSAwConfig{Constraints: cons, Window: 1})
+	}
+	cfg.Policy = newPolicy()
+	live, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewJobState(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.NoiseTrace() == nil {
+		t.Fatal("traced, faulted job recorded no noise trace")
+	}
+	ep, err := st.NewEpisode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		res, err := ep.Run(context.Background(), EpisodeParams{Policy: newPolicy(), Constraints: cons, CapMode: CapLong})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.TotalTime != live.TotalTime || res.TotalEnergy != live.TotalEnergy {
+			t.Errorf("round %d: totals (%v, %v) differ from live (%v, %v)", round, res.TotalTime, res.TotalEnergy, live.TotalTime, live.TotalEnergy)
+		}
+		if !reflect.DeepEqual(res.FaultLog, live.FaultLog) || res.AliveSim != live.AliveSim || res.AliveAna != live.AliveAna {
+			t.Errorf("round %d: fault log %v differs from live %v", round, res.FaultLog, live.FaultLog)
+		}
+		if !reflect.DeepEqual(res.SimSegments, live.SimSegments) || !reflect.DeepEqual(res.AnaSegments, live.AnaSegments) {
+			t.Errorf("round %d: power segments differ from live", round)
+		}
 	}
 }

@@ -12,7 +12,10 @@
 // driver: the search layer (internal/rollout) builds one JobState per
 // distinct (workload, seeds, noise, faults, classes) key and shares it
 // read-only across every grid point that differs only in budget,
-// window or policy, while each worker owns its Episodes.
+// window or policy, while each worker owns its Episodes. The noise
+// trace is shared wider still: every job with the same seeds,
+// partition sizes and per-interval draw counts replays one (see
+// NoiseTrace and TraceStore).
 package cosim
 
 import (
@@ -23,6 +26,7 @@ import (
 	"seesaw/internal/core"
 	"seesaw/internal/machine"
 	"seesaw/internal/mpi"
+	"seesaw/internal/rng"
 	"seesaw/internal/trace"
 	"seesaw/internal/units"
 )
@@ -43,28 +47,78 @@ const policyComputeTime = 2e-6
 // job. It is safe for concurrent use by any number of Episodes.
 type JobState struct {
 	// cfg is the normalized configuration with the episode-varying
-	// fields (Policy, Constraints, initial caps, CapMode) zeroed; those
-	// arrive per run via EpisodeParams.
+	// fields (Policy, Constraints, initial caps, CapMode) and the trace
+	// store zeroed; those arrive per run via EpisodeParams.
 	cfg Config
 
 	schedule []intervalEnd
-	// simPhases[k] and anaPhases[k] are the partitions' phase tables for
-	// schedule entry k (anaPhases[k] is nil for non-synchronizing
-	// trailing intervals). Episodes read them without copying; the
-	// driver never mutates a Phase in place.
+	// simPhases[k] and anaPhases[k] are the partitions' raw phase tables
+	// for schedule entry k (anaPhases[k] is nil for non-synchronizing
+	// trailing intervals). Episodes adapt them per device model and
+	// never mutate a Phase in place.
 	simPhases [][]machine.Phase
 	anaPhases [][]machine.Phase
 
 	overhead           units.Seconds
 	nSim, nAna, nTotal int
 
-	// noiseTraces[i] is node i's recorded jitter-draw sequence — the
-	// standard normals its Box-Muller stream produces over one episode,
-	// recorded once per job and replayed read-only by every Episode (nil
-	// when memoization is off: faulted, traced or NoNoiseMemo jobs).
-	// traceBytes is their storage footprint, for cache size accounting.
-	noiseTraces [][]float64
-	traceBytes  int64
+	// noise is the job's recorded jitter-draw trace, replayed read-only
+	// by every Episode (nil when memoization is off: NoNoiseMemo jobs,
+	// one-shot Run among them).
+	noise *NoiseTrace
+}
+
+// NoiseTrace is a job's recorded jitter draws — the standard normals
+// each node's Box-Muller stream produces over one episode — laid out
+// interval-major: interval k's block holds every simulation node's
+// draws for that interval in node order, then every analysis node's.
+// An Episode points each live node at its own (k, i) slot at the top of
+// the interval, so the window kernel reads the trace front to back, and
+// a dead node simply leaves its slot unread: the slot offset follows
+// from the node index alone, never from how many nodes are alive.
+//
+// The draws depend only on the seeds, the partition sizes and the
+// per-interval draw counts — not on dim, device classes, fault plan,
+// budget, window or policy — so one trace serves every job sharing its
+// key (see TraceStore). A NoiseTrace is immutable once recorded and safe
+// for concurrent use.
+type NoiseTrace struct {
+	data []float64
+	nSim int
+	// base[k] is interval k's block offset in data; dSim[k] and dAna[k]
+	// are the interval's per-node draw counts in each partition.
+	base       []int
+	dSim, dAna []int
+}
+
+// Bytes returns the trace's storage footprint in bytes.
+func (t *NoiseTrace) Bytes() int64 { return int64(len(t.data)) * 8 }
+
+// block returns interval k's draws and its per-node draw counts.
+func (t *NoiseTrace) block(k int) (blk []float64, dSim, dAna int) {
+	end := len(t.data)
+	if k+1 < len(t.base) {
+		end = t.base[k+1]
+	}
+	return t.data[t.base[k]:end], t.dSim[k], t.dAna[k]
+}
+
+// slotOf returns node i's slot in an interval block with per-node draw
+// counts dSim and dAna: its offset is computed from the node index.
+func slotOf(blk []float64, i, nSim, dSim, dAna int) []float64 {
+	if i < nSim {
+		return blk[i*dSim : (i+1)*dSim]
+	}
+	off := nSim*dSim + (i-nSim)*dAna
+	return blk[off : off+dAna]
+}
+
+// TraceStore shares recorded noise traces across JobStates (see
+// Config.Traces). Trace returns the trace stored under key, calling
+// record to build it when there is none; every caller of one key must
+// get the same trace.
+type TraceStore interface {
+	Trace(key string, record func() *NoiseTrace) *NoiseTrace
 }
 
 // NewJobState validates the workload and precomputes the job's
@@ -82,6 +136,8 @@ func NewJobState(cfg Config) (*JobState, error) {
 	cfg.Constraints = core.Constraints{}
 	cfg.InitialSimCap, cfg.InitialAnaCap = 0, 0
 	cfg.CapMode = CapNone
+	traces := cfg.Traces
+	cfg.Traces = nil
 
 	spec := cfg.Spec
 	st := &JobState{
@@ -122,61 +178,98 @@ func NewJobState(cfg Config) (*JobState, error) {
 	// Noise-trace memoization: the jitter draws a node consumes over an
 	// episode depend only on the phase schedule and the run seed — never
 	// on caps, budget or policy — so one recorded sequence serves every
-	// grid point sharing this job. Fault plans shift work between nodes
-	// (work-scaling does not commute with replay slicing) and traced
-	// runs are one-off figure generation, so both keep the live RNG
-	// path, mirroring the RunTrusted rule.
-	if cfg.Faults.Empty() && !cfg.TraceSegments && !cfg.NoNoiseMemo {
-		st.recordNoiseTraces()
+	// grid point sharing this job. Faulted jobs replay it too: fault
+	// work-scaling never zeroes a nominal, so every live node draws
+	// exactly its fault-free count per interval, and a dead node stops
+	// drawing at its kill.
+	if !cfg.NoNoiseMemo {
+		st.noise = st.noiseTrace(traces)
 	}
 	return st, nil
 }
 
-// recordNoiseTraces records each node's per-episode jitter-draw
-// sequence. The draw count is derived from the same phase tables the
-// episodes execute: one draw per non-empty phase execution, plus one
-// for the power-reading ripple when PowerSigma is active. Device
-// adaptation rescales a nominal duration but never zeroes it, so the
-// raw tables count for every device class.
-func (st *JobState) recordNoiseTraces() {
+// noiseTrace returns the job's noise trace: from the store when one is
+// given (recording it there on the key's first use), else freshly
+// recorded. The draw count per node and interval is derived from the
+// same phase tables the episodes execute: one draw per non-empty phase
+// execution, plus one for the power-reading ripple when PowerSigma is
+// active. Device adaptation rescales a nominal duration but never
+// zeroes it, so the raw tables count for every device class.
+func (st *JobState) noiseTrace(store TraceStore) *NoiseTrace {
 	perExec := 1
 	if st.cfg.Noise.PowerSigma > 0 {
 		perExec = 2
 	}
-	countDraws := func(tables [][]machine.Phase) int {
+	countDraws := func(phs []machine.Phase) int {
 		n := 0
-		for _, phs := range tables {
-			for i := range phs {
-				if phs[i].Nominal != 0 {
-					n += perExec
-				}
+		for i := range phs {
+			if phs[i].Nominal != 0 {
+				n += perExec
 			}
 		}
 		return n
 	}
-	drawsSim := countDraws(st.simPhases)
-	drawsAna := countDraws(st.anaPhases)
-	// The cluster layer falls back to the job seed when no run seed is
-	// configured; the recorder must mirror that to tap the same streams.
-	runSeed := st.cfg.RunSeed
-	if runSeed == 0 {
-		runSeed = st.cfg.Seed
+	nk := len(st.schedule)
+	t := &NoiseTrace{nSim: st.nSim, base: make([]int, nk), dSim: make([]int, nk), dAna: make([]int, nk)}
+	total := 0
+	for k := range st.schedule {
+		t.base[k] = total
+		t.dSim[k], t.dAna[k] = countDraws(st.simPhases[k]), countDraws(st.anaPhases[k])
+		total += st.nSim*t.dSim[k] + st.nAna*t.dAna[k]
 	}
-	st.noiseTraces = make([][]float64, st.nTotal)
-	for i := range st.noiseTraces {
-		draws := drawsSim
-		if i >= st.nSim {
-			draws = drawsAna
+	record := func() *NoiseTrace {
+		// The cluster layer falls back to the job seed when no run seed
+		// is configured; the recorder mirrors that to tap the same
+		// streams.
+		runSeed := st.cfg.RunSeed
+		if runSeed == 0 {
+			runSeed = st.cfg.Seed
 		}
-		st.noiseTraces[i] = machine.JitterTrace(runSeed, i, draws)
-		st.traceBytes += int64(draws) * 8
+		t.record(runSeed, st.nTotal, total)
+		return t
+	}
+	if store == nil {
+		return record()
+	}
+	return store.Trace(t.layoutKey(st.cfg.Seed, st.cfg.RunSeed, st.nAna), record)
+}
+
+// layoutKey names everything the trace's contents depend on: the seed
+// pair as configured, the partition sizes and the per-interval draw
+// counts. The pair is kept whole rather than reduced to the effective
+// run seed, so jobs of different job seeds never share a trace.
+func (t *NoiseTrace) layoutKey(seed, runSeed uint64, nAna int) string {
+	return fmt.Sprintf("seed=%d.%d/n%d+%d/draws=%v/%v", seed, runSeed, t.nSim, nAna, t.dSim, t.dAna)
+}
+
+// record fills the trace interval by interval from each node's jitter
+// stream, so the writes sweep the flat slice front to back.
+func (t *NoiseTrace) record(runSeed uint64, nTotal, total int) {
+	t.data = make([]float64, total)
+	streams := make([]*rng.Stream, nTotal)
+	for i := range streams {
+		streams[i] = machine.JitterStream(runSeed, i)
+	}
+	for k := range t.base {
+		blk, dSim, dAna := t.block(k)
+		for i, s := range streams {
+			s.FillNorm(slotOf(blk, i, t.nSim, dSim, dAna))
+		}
 	}
 }
 
-// TraceBytes returns the recorded noise traces' storage footprint in
-// bytes (zero when memoization is off). The state cache uses it to
-// bound total memo memory.
-func (st *JobState) TraceBytes() int64 { return st.traceBytes }
+// NoiseTrace returns the job's recorded noise trace (nil when
+// memoization is off).
+func (st *JobState) NoiseTrace() *NoiseTrace { return st.noise }
+
+// TraceBytes returns the recorded noise trace's storage footprint in
+// bytes (zero when memoization is off).
+func (st *JobState) TraceBytes() int64 {
+	if st.noise == nil {
+		return 0
+	}
+	return st.noise.Bytes()
+}
 
 // EpisodeParams are the per-episode knobs of one run: the acting policy
 // and the power-budget configuration. Everything else about the job
@@ -194,19 +287,31 @@ type EpisodeParams struct {
 }
 
 // Episode owns the mutable state of one worker's runs over a JobState:
-// the node population and the driver's scratch slices. Run may be
-// called any number of times; each call resets the cluster and replays
-// the job from scratch. An Episode is not safe for concurrent use.
+// the node population, its health view and the driver's scratch
+// slices. Run may be called any number of times; each call resets the
+// cluster and replays the job from scratch. An Episode is not safe for
+// concurrent use.
 type Episode struct {
 	st *JobState
 	cl *cluster.Cluster
 
-	// nodeSim[i] and nodeAna[i] are node i's model-adapted phase
-	// tables (shared per distinct device model): the fault-free run
-	// loop executes them directly, skipping the per-execution
-	// adaptation and phase copies RunTrusted performs.
-	nodeSim [][][]machine.Phase
-	nodeAna [][][]machine.Phase
+	// tables[i] is node i's model-adapted per-interval phase tables at
+	// its partition's current work scale (shared per distinct model,
+	// partition and scale). The run loop executes them directly: no
+	// per-execution adaptation and no Phase copy.
+	tables [][][]machine.Phase
+	// adapted caches those tables per (model, partition, scale) for the
+	// Episode's lifetime: a fault plan fires the same kills every run,
+	// so each scale is adapted once per Episode, not once per run.
+	adapted map[tableKey][][]machine.Phase
+	// scale is each partition's work scale the tables are adapted at.
+	scale [2]float64
+
+	// alive and health mirror the cluster's health view, updated from
+	// the transitions cl.Advance returns so the run loop reads a slice
+	// instead of taking the cluster mutex per node per interval.
+	alive  []bool
+	health []core.Health
 
 	busy       []units.Seconds
 	measures   []core.NodeMeasure
@@ -219,28 +324,70 @@ type Episode struct {
 	clock units.Seconds
 }
 
-// adaptTables returns the model-adapted copy of per-interval phase
-// tables. Adapting once per job is byte-identical to RunTrusted's
-// per-execution adaptation (Adapt is deterministic per model).
-func adaptTables(m machine.Model, tables [][]machine.Phase) [][]machine.Phase {
-	out := make([][]machine.Phase, len(tables))
-	for i, phs := range tables {
+// tableKey identifies one set of adapted phase tables.
+type tableKey struct {
+	model machine.Model
+	role  core.Role
+	scale float64
+}
+
+// tablesFor returns the partition's per-interval phase tables adapted
+// to model m at work scale s, building them on first use. Fault
+// work-scaling multiplies the raw nominal before adaptation, exactly
+// as executing the scaled phase through Run does (scale*(nominal/speed)
+// != (scale*nominal)/speed in floating point), and scale 1 skips the
+// multiply, so the tables are byte-identical to per-execution
+// adaptation.
+func (ep *Episode) tablesFor(m machine.Model, role core.Role, s float64) [][]machine.Phase {
+	key := tableKey{model: m, role: role, scale: s}
+	if tb, ok := ep.adapted[key]; ok {
+		return tb
+	}
+	raw := ep.st.simPhases
+	if role == core.RoleAnalysis {
+		raw = ep.st.anaPhases
+	}
+	tb := make([][]machine.Phase, len(raw))
+	for k, phs := range raw {
 		if phs == nil {
 			continue
 		}
 		adapted := make([]machine.Phase, len(phs))
-		for k, ph := range phs {
-			adapted[k] = m.Adapt(ph)
+		for j, ph := range phs {
+			if s != 1 {
+				ph.Nominal = units.Seconds(float64(ph.Nominal) * s)
+			}
+			adapted[j] = m.Adapt(ph)
 		}
-		out[i] = adapted
+		tb[k] = adapted
 	}
-	return out
+	ep.adapted[key] = tb
+	return tb
+}
+
+// setScale points every node of one partition at its tables for work
+// scale s. Kills are the only events that move a scale, so this runs a
+// handful of times per faulted run and is a no-op otherwise.
+func (ep *Episode) setScale(role core.Role, s float64) {
+	if ep.scale[role] == s {
+		return
+	}
+	ep.scale[role] = s
+	lo, hi := 0, ep.st.nSim
+	if role == core.RoleAnalysis {
+		lo, hi = ep.st.nSim, ep.st.nTotal
+	}
+	for i := lo; i < hi; i++ {
+		ep.tables[i] = ep.tablesFor(ep.cl.Node(i).Model(), role, s)
+	}
 }
 
 // NewEpisode builds the job's node population for one worker. The
 // phase tables are validated here against every device model present,
-// once, so the run loop can use the trusted execution path (an invalid
-// phase panics, preserving machine.Node.Run's contract).
+// once, so the run loop can execute pre-adapted tables without
+// per-execution checks (an invalid phase panics, preserving
+// machine.Node.Run's contract). Work-scaled tables need no check of
+// their own: scaling by a factor >= 1 keeps a valid nominal valid.
 func (st *JobState) NewEpisode() (*Episode, error) {
 	cl, err := cluster.New(cluster.Config{
 		SimNodes:      st.nSim,
@@ -258,14 +405,22 @@ func (st *JobState) NewEpisode() (*Episode, error) {
 	if err != nil {
 		return nil, err
 	}
-	type tables struct{ sim, ana [][]machine.Phase }
-	byModel := map[machine.Model]*tables{}
-	nodeSim := make([][][]machine.Phase, cl.Size())
-	nodeAna := make([][][]machine.Phase, cl.Size())
-	for i := 0; i < cl.Size(); i++ {
+	ep := &Episode{
+		st:         st,
+		cl:         cl,
+		tables:     make([][][]machine.Phase, st.nTotal),
+		adapted:    map[tableKey][][]machine.Phase{},
+		scale:      [2]float64{1, 1},
+		alive:      make([]bool, st.nTotal),
+		health:     make([]core.Health, st.nTotal),
+		busy:       make([]units.Seconds, st.nTotal),
+		measures:   make([]core.NodeMeasure, st.nTotal),
+		lastEnergy: make([]units.Joules, st.nTotal),
+	}
+	validated := map[machine.Model]bool{}
+	for i := 0; i < st.nTotal; i++ {
 		m := cl.Node(i).Model()
-		tb := byModel[m]
-		if tb == nil {
+		if !validated[m] {
 			for _, tbl := range [2][][]machine.Phase{st.simPhases, st.anaPhases} {
 				for _, phs := range tbl {
 					for _, ph := range phs {
@@ -275,28 +430,11 @@ func (st *JobState) NewEpisode() (*Episode, error) {
 					}
 				}
 			}
-			tb = &tables{sim: adaptTables(m, st.simPhases), ana: adaptTables(m, st.anaPhases)}
-			byModel[m] = tb
+			validated[m] = true
 		}
-		nodeSim[i], nodeAna[i] = tb.sim, tb.ana
+		ep.tables[i] = ep.tablesFor(m, cl.Role(i), 1)
 	}
-	// Memoized jobs replay the recorded draw sequences: the node reads
-	// its shared trace slice instead of advancing its live Box-Muller
-	// stream, and cluster.Reset rewinds the replay cursor per episode.
-	if st.noiseTraces != nil {
-		for i := 0; i < cl.Size(); i++ {
-			cl.Node(i).SetNoiseTrace(st.noiseTraces[i])
-		}
-	}
-	return &Episode{
-		st:         st,
-		cl:         cl,
-		nodeSim:    nodeSim,
-		nodeAna:    nodeAna,
-		busy:       make([]units.Seconds, st.nTotal),
-		measures:   make([]core.NodeMeasure, st.nTotal),
-		lastEnergy: make([]units.Joules, st.nTotal),
-	}, nil
+	return ep, nil
 }
 
 // Run executes one episode. The context is checked at every
@@ -334,9 +472,14 @@ func (ep *Episode) Run(ctx context.Context, prm EpisodeParams) (*Result, error) 
 	}
 	ep.used = true
 	busy, measures, lastEnergy := ep.busy, ep.measures, ep.lastEnergy
+	alive, health := ep.alive, ep.health
 	for i := range lastEnergy {
 		lastEnergy[i] = 0
+		alive[i] = true
+		health[i] = core.Healthy
 	}
+	ep.setScale(core.RoleSimulation, 1)
+	ep.setScale(core.RoleAnalysis, 1)
 
 	ep.clock = 0
 	policy := core.Instrument(pol, cfg.Telemetry, func() float64 { return float64(ep.clock) })
@@ -363,19 +506,10 @@ func (ep *Episode) Run(ctx context.Context, prm EpisodeParams) (*Result, error) 
 
 	// Idle-trough handles resolved once per partition: the per-node
 	// observation inside the synchronization loop must not pay a family
-	// label lookup (and a Role→string conversion) per node per interval.
+	// label lookup (and a Role->string conversion) per node per interval.
 	idleSimM := cfg.Telemetry.IdleWaitMetric(core.RoleSimulation.String())
 	idleAnaM := cfg.Telemetry.IdleWaitMetric(core.RoleAnalysis.String())
-
-	// Fault-free runs take a lock-free fast path through the health
-	// view: with an empty plan every node stays Healthy and alive and
-	// the work scale is 1, so the per-node mutex reads of the cluster's
-	// health state (three per node per interval) are pure overhead.
-	faultFree := cfg.Faults.Empty()
-	// The pre-adapted execute path additionally requires segment tracing
-	// off: it does not collect Segments (tracing runs are one-off figure
-	// generation, not search workloads).
-	fast := faultFree && !cfg.TraceSegments
+	noise := st.noise
 
 	for syncIdx, iv := range st.schedule {
 		if err := ctx.Err(); err != nil {
@@ -385,62 +519,46 @@ func (ep *Episode) Run(ctx context.Context, prm EpisodeParams) (*Result, error) 
 
 		// 0. Fault plan: transitions planned for this interval fire
 		// before it executes. A kill shifts the dead node's share of the
-		// partition's domain-decomposed work onto the survivors.
-		scale := [2]float64{}
-		if faultFree {
-			scale[core.RoleSimulation] = 1
-			scale[core.RoleAnalysis] = 1
-		} else {
-			if trs := cl.Advance(ep.clock, syncIdx+1); len(trs) > 0 {
-				res.FaultLog = append(res.FaultLog, trs...)
+		// partition's domain-decomposed work onto the survivors, which
+		// move to tables adapted at the new work scale.
+		if trs := cl.Advance(ep.clock, syncIdx+1); len(trs) > 0 {
+			res.FaultLog = append(res.FaultLog, trs...)
+			for _, tr := range trs {
+				health[tr.NodeID] = tr.To
+				alive[tr.NodeID] = tr.To.Alive()
 			}
-			scale[core.RoleSimulation] = cl.WorkScale(core.RoleSimulation)
-			scale[core.RoleAnalysis] = cl.WorkScale(core.RoleAnalysis)
+			ep.setScale(core.RoleSimulation, cl.WorkScale(core.RoleSimulation))
+			ep.setScale(core.RoleAnalysis, cl.WorkScale(core.RoleAnalysis))
 		}
 
-		simPhases := st.simPhases[syncIdx]
-		anaPhases := st.anaPhases[syncIdx]
+		var blk []float64
+		var dSim, dAna int
+		if noise != nil {
+			blk, dSim, dAna = noise.block(syncIdx)
+		}
 
 		// 1. Execute every live node's interval.
 		for i := 0; i < nTotal; i++ {
-			n := cl.Node(i)
-			if !faultFree && !cl.Alive(i) {
+			if !alive[i] {
 				busy[i] = 0
 				continue
 			}
+			n := cl.Node(i)
+			if noise != nil {
+				n.SetNoiseTrace(slotOf(blk, i, nSim, dSim, dAna))
+			}
+			traced := cfg.TraceSegments && (i == 0 || i == nSim)
+			phases := ep.tables[i][syncIdx]
 			var t units.Seconds
-			if fast {
-				// Pre-adapted tables: no per-execution adaptation, no
-				// Phase copy, no fault work-scaling (scale is 1).
-				phases := ep.nodeSim[i][syncIdx]
-				if cl.Role(i) == core.RoleAnalysis {
-					phases = ep.nodeAna[i][syncIdx]
-				}
-				for k := range phases {
-					t += n.RunAdapted(&phases[k], &cfg.Noise).Duration
-				}
-			} else {
-				// Fault work-scaling multiplies the *raw* nominal before
-				// adaptation (scale*(nominal/speed) != (scale*nominal)/speed
-				// in floating point), so faulted — and traced — runs keep
-				// the original RunTrusted path bit for bit.
-				phases := simPhases
-				if cl.Role(i) == core.RoleAnalysis {
-					phases = anaPhases
-				}
-				for _, ph := range phases {
-					if s := scale[cl.Role(i)]; s != 1 {
-						ph.Nominal = units.Seconds(float64(ph.Nominal) * s)
-					}
-					exec := n.RunTrusted(ph, cfg.Noise)
-					t += exec.Duration
-					if cfg.TraceSegments && (i == 0 || i == nSim) {
-						seg := Segment{Start: ep.clock + t - exec.Duration, Duration: exec.Duration, Power: exec.Power}
-						if i == 0 {
-							res.SimSegments = append(res.SimSegments, seg)
-						} else {
-							res.AnaSegments = append(res.AnaSegments, seg)
-						}
+			for k := range phases {
+				exec := n.RunAdapted(&phases[k], &cfg.Noise)
+				t += exec.Duration
+				if traced {
+					seg := Segment{Start: ep.clock + t - exec.Duration, Duration: exec.Duration, Power: exec.Power}
+					if i == 0 {
+						res.SimSegments = append(res.SimSegments, seg)
+					} else {
+						res.AnaSegments = append(res.AnaSegments, seg)
 					}
 				}
 			}
@@ -467,11 +585,11 @@ func (ep *Episode) Run(ctx context.Context, prm EpisodeParams) (*Result, error) 
 		// nodes report zeroed measures (Cap 0 keeps the allocators from
 		// re-injecting a corpse's stale cap into the budget pool).
 		for i := 0; i < nTotal; i++ {
-			n := cl.Node(i)
-			if !faultFree && !cl.Alive(i) {
+			if !alive[i] {
 				measures[i] = core.NodeMeasure{NodeID: i, Health: core.Dead, Role: cl.Role(i)}
 				continue
 			}
+			n := cl.Node(i)
 			if wait := wall - busy[i]; wait > 0 {
 				exec := n.Idle(wait)
 				idleM := idleSimM
@@ -490,10 +608,6 @@ func (ep *Episode) Run(ctx context.Context, prm EpisodeParams) (*Result, error) 
 					}
 				}
 			}
-			health := core.Healthy
-			if !faultFree {
-				health = cl.Health(i)
-			}
 			en := n.RAPL().Energy()
 			e := en - lastEnergy[i]
 			lastEnergy[i] = en
@@ -502,7 +616,7 @@ func (ep *Episode) Run(ctx context.Context, prm EpisodeParams) (*Result, error) 
 			// copies it in (a measurable duffcopy at scale).
 			m := &measures[i]
 			m.NodeID = i
-			m.Health = health
+			m.Health = health[i]
 			m.Role = cl.Role(i)
 			m.Time = wall // allocator-to-allocator interval: work + sync wait
 			m.BusyTime = busy[i]
@@ -538,7 +652,7 @@ func (ep *Episode) Run(ctx context.Context, prm EpisodeParams) (*Result, error) 
 			if caps != nil {
 				for i := 0; i < nTotal; i++ {
 					n := cl.Node(i)
-					if (faultFree || cl.Alive(i)) && caps[i] > 0 && caps[i] != n.RAPL().LongCap() {
+					if alive[i] && caps[i] > 0 && caps[i] != n.RAPL().LongCap() {
 						n.RAPL().SetLongCap(caps[i])
 						if prm.CapMode == CapLongShort {
 							n.RAPL().SetShortCap(caps[i])

@@ -275,7 +275,7 @@ func NewNodeWithSeeds(id int, cfg rapl.Config, model Model, noise NoiseModel, jo
 	effStream := rng.DeriveIndexed(jobSeed, "node-poweff", id)
 	runStream := rng.DeriveIndexed(runSeed, "node-runskew", id)
 	dualStream := rng.DeriveIndexed(runSeed, "node-dualskew", id)
-	jitter := rng.DeriveIndexed(runSeed, "node-jitter", id)
+	jitter := JitterStream(runSeed, id)
 	return &Node{
 		id:          id,
 		rapl:        rapl.MustNewDomain(cfg),
@@ -331,14 +331,21 @@ func (n *Node) nextNorm() float64 {
 	return n.jitter.Norm()
 }
 
+// JitterStream returns a fresh copy of node id's jitter stream under
+// runSeed: its successive Norm draws are exactly the sequence a node
+// built by NewNodeWithSeeds(id, ..., runSeed) consumes while executing
+// phases. Recorders that lay draws out in their own order fill from it;
+// the wiring (stream label and derivation) lives here so a recorder can
+// never drift from the live path.
+func JitterStream(runSeed uint64, id int) *rng.Stream {
+	return rng.DeriveIndexed(runSeed, "node-jitter", id)
+}
+
 // JitterTrace records the first draws standard normals of node id's
-// jitter stream under runSeed — exactly the sequence a node built by
-// NewNodeWithSeeds(id, ..., runSeed) consumes while executing phases.
-// The wiring (stream label and derivation) lives here so the recorder
-// can never drift from the live path.
+// jitter stream under runSeed, in node order (see JitterStream).
 func JitterTrace(runSeed uint64, id, draws int) []float64 {
 	out := make([]float64, draws)
-	rng.DeriveIndexed(runSeed, "node-jitter", id).FillNorm(out)
+	JitterStream(runSeed, id).FillNorm(out)
 	return out
 }
 
@@ -409,29 +416,20 @@ func (n *Node) Run(ph Phase, noise NoiseModel) Execution {
 
 // ValidatePhase checks a phase against this device exactly as Run
 // would (after device adaptation). Drivers that pre-validate their
-// phase tables once pair it with Node.RunTrusted.
+// phase tables once pair it with Adapt and Node.RunAdapted.
 func (m Model) ValidatePhase(ph Phase) error { return m.adapt(ph).Validate(m) }
-
-// RunTrusted is Run for drivers that pre-validate their phase tables
-// once per job (the pooled episode fast path): it skips the
-// per-execution Validate call and is byte-identical to Run for any
-// phase Run would accept.
-func (n *Node) RunTrusted(ph Phase, noise NoiseModel) Execution {
-	ph = n.model.adapt(ph)
-	return n.runAdapted(&ph, &noise)
-}
 
 // Adapt returns the phase as this model's device class executes it
 // (speed factor applied to the nominal time, power scale to the power
-// points). It is the per-execution adaptation RunTrusted performs,
-// exposed so drivers can pre-adapt immutable phase tables once per job.
+// points). It is the per-execution adaptation Run performs, exposed so
+// drivers can pre-adapt immutable phase tables once per job.
 func (m Model) Adapt(ph Phase) Phase { return m.adapt(ph) }
 
 // RunAdapted executes a phase that was already adapted by — and
 // validated against — this node's model (via Adapt/ValidatePhase). It
-// is byte-identical to RunTrusted on the unadapted phase; the pooled
-// episode fast path uses it with pre-adapted tables so neither the
-// adaptation nor the phase and noise-model copies are paid per
+// is byte-identical to Run on the unadapted phase; the cosim episode
+// loop uses it with pre-adapted tables so neither the adaptation, the
+// validation nor the phase and noise-model copies are paid per
 // execution. The phase and noise model are read, never retained.
 func (n *Node) RunAdapted(ph *Phase, noise *NoiseModel) Execution {
 	return n.runAdapted(ph, noise)

@@ -229,7 +229,8 @@ func (b *Bandit) Allocate(step int, nodes []core.NodeMeasure) []units.Watts {
 	// Interval wall time: every live node reports the same
 	// allocator-to-allocator interval (work + sync wait).
 	var wall units.Seconds
-	for _, n := range nodes {
+	for i := range nodes {
+		n := &nodes[i]
 		if n.Health == core.Dead {
 			continue
 		}

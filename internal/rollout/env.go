@@ -69,9 +69,10 @@ type Spec struct {
 	// NoNoiseMemo disables the job's noise-trace memoization
 	// (cosim.Config.NoNoiseMemo): episodes draw jitter live from the
 	// node streams instead of replaying the recorded trace. Replay is
-	// byte-identical by construction — the flag is a diagnostic escape
-	// hatch, and it forks the job key so memoized and live JobStates
-	// never share a cache entry.
+	// byte-identical by construction, for faulted and class-mapped jobs
+	// as for fault-free ones — the flag is a diagnostic escape hatch,
+	// and it forks the job key so memoized and live JobStates never
+	// share a cache entry.
 	NoNoiseMemo bool
 }
 

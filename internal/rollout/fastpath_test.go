@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"seesaw/internal/core"
 	"seesaw/internal/cosim"
+	"seesaw/internal/fault"
 	"seesaw/internal/machine"
 	"seesaw/internal/policy"
 	"seesaw/internal/units"
@@ -297,48 +299,81 @@ func TestRolloutCancelledContext(t *testing.T) {
 }
 
 // TestNoiseMemoGolden pins the memoization contract end to end: a
-// memoized episode (noise trace recorded once, replayed thereafter) is
-// byte-identical to the same spec with NoNoiseMemo — every jitter
-// variate drawn live from the node streams.
+// memoized episode (one interval-major noise trace recorded per job,
+// replayed thereafter) is byte-identical to the same spec with
+// NoNoiseMemo — every jitter variate drawn live from the node streams —
+// in its sync log, fault log and totals. The faulted cases are the
+// ones a slot offset taken from a counter over live nodes gets wrong:
+// after a kill, every later node of the partition would read its dead
+// neighbour's draws.
 func TestNoiseMemoGolden(t *testing.T) {
-	spec := testSpec("", t)
-	spec.Faults = nil // fault-free so the memo path actually engages
-	n := spec.Workload.SimNodes + spec.Workload.AnaNodes
-
-	run := func(s Spec) *Result {
-		t.Helper()
-		pol, err := policy.New("seesaw", s.constraints(n), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		env := NewEnv()
-		defer env.Close()
-		// Two rollouts: the second replays the recorded trace (or, with
-		// NoNoiseMemo, redraws live) over the pooled episode.
-		if _, err := env.Rollout(context.Background(), s, pol); err != nil {
-			t.Fatal(err)
-		}
-		pol, err = policy.New("seesaw", s.constraints(n), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := env.Rollout(context.Background(), s, pol)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	cases := []struct {
+		name, faults, classes string
+	}{
+		{name: "fault-free"},
+		{name: "kill-sim", faults: "kill:2@4"},
+		{name: "kill-ana", faults: "kill:5@6"},
+		{name: "slow", faults: "slow:1@3x2+6"},
+		{name: "kill+slow", faults: "slow:6@3x2+8,kill:6@7,kill:1@9"},
+		{name: "gpu-classes", faults: "kill:1@5", classes: "0-1:gpu,4-5:gpu"},
 	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := testSpec("", t)
+			plan, err := fault.Parse(tc.faults)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.Faults = plan
+			if spec.Classes, err = machine.ParseClassMap(tc.classes); err != nil {
+				t.Fatal(err)
+			}
+			n := spec.Workload.SimNodes + spec.Workload.AnaNodes
 
-	memo := run(spec)
-	live := spec
-	live.NoNoiseMemo = true
-	liveRes := run(live)
+			run := func(s Spec) *Result {
+				t.Helper()
+				env := NewEnv()
+				defer env.Close()
+				// Two rollouts: the second replays the recorded trace (or,
+				// with NoNoiseMemo, redraws live) over the pooled episode.
+				var res *Result
+				for round := 0; round < 2; round++ {
+					pol, err := policy.New("seesaw", s.constraints(n), 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res, err = env.Rollout(context.Background(), s, pol); err != nil {
+						t.Fatal(err)
+					}
+				}
+				st, err := env.cache.state(s.jobKey(), s.cosimConfig(nil))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if memo := st.NoiseTrace() != nil; memo == s.NoNoiseMemo {
+					t.Fatalf("NoNoiseMemo=%t but trace recorded=%t", s.NoNoiseMemo, memo)
+				}
+				return res
+			}
 
-	if memo.TotalTime != liveRes.TotalTime || memo.TotalEnergy != liveRes.TotalEnergy {
-		t.Error("memoized totals diverge from live draws")
-	}
-	if !bytes.Equal(syncCSV(t, memo.SyncLog), syncCSV(t, liveRes.SyncLog)) {
-		t.Error("memoized SyncLog diverges from live draws")
+			memo := run(spec)
+			live := spec
+			live.NoNoiseMemo = true
+			liveRes := run(live)
+
+			if memo.TotalTime != liveRes.TotalTime || memo.TotalEnergy != liveRes.TotalEnergy {
+				t.Error("memoized totals diverge from live draws")
+			}
+			if !bytes.Equal(syncCSV(t, memo.SyncLog), syncCSV(t, liveRes.SyncLog)) {
+				t.Error("memoized SyncLog diverges from live draws")
+			}
+			if !reflect.DeepEqual(memo.Cosim.FaultLog, liveRes.Cosim.FaultLog) {
+				t.Errorf("memoized FaultLog %v diverges from live %v", memo.Cosim.FaultLog, liveRes.Cosim.FaultLog)
+			}
+			if tc.faults != "" && len(memo.Cosim.FaultLog) == 0 {
+				t.Error("fault plan fired no transitions")
+			}
+		})
 	}
 }
 

@@ -2,11 +2,11 @@
 // once under a per-key singleflight and then read-only, with an LRU
 // bound on the memoized noise-trace memory. Grid sweeps repeat a small
 // set of jobs thousands of times, so the cache pays each job's
-// schedule/phase-table construction and noise-trace recording exactly
-// once; the byte bound keeps an adversarial sweep (thousands of
-// distinct jobs, each with megabytes of recorded traces) from growing
-// without limit — cold entries fall off the tail and rebuild on the
-// next miss.
+// schedule/phase-table construction exactly once, and each noise trace
+// once however many jobs replay it; the byte bound keeps an adversarial
+// sweep (thousands of distinct jobs, each with megabytes of recorded
+// traces) from growing without limit — cold entries fall off the tail
+// and rebuild on the next miss.
 package rollout
 
 import (
@@ -22,32 +22,42 @@ import (
 // 400-step length.
 const DefaultCacheBytes int64 = 512 << 20
 
-// entrySizeFloor is the accounted size of an entry whose job records
-// no noise traces (faulted/traced/NoNoiseMemo jobs): the phase tables
-// and schedule are small but not free, and a zero size would let
-// unbounded numbers of such entries pile up below the byte bound.
+// entrySizeFloor is the accounted size of an entry whose job replays
+// no noise trace (NoNoiseMemo jobs), and the least a trace is charged:
+// the phase tables and schedule are small but not free, and a zero size
+// would let unbounded numbers of such entries pile up below the byte
+// bound. An entry that replays a trace is charged nothing of its own;
+// the trace it shares carries the charge.
 const entrySizeFloor int64 = 16 << 10
 
 // StateCache shares cosim.JobState precompute across environments: one
 // entry per distinct job key (workload, topology seeds, noise, faults,
 // classes), built once and then read-only. A cache is safe for
 // concurrent use; Batch hands one cache to every worker's Env so a grid
-// sweep pays each job's schedule/phase-table construction — and its
-// noise-trace recording — exactly once.
+// sweep pays each job's schedule/phase-table construction exactly once.
 //
-// The cache is bounded: each entry is accounted at its noise-trace
-// footprint (JobState.TraceBytes, floored for trace-free jobs) and the
+// The cache is also the JobStates' cosim.TraceStore: a noise trace
+// depends only on the seeds, the partition sizes and the per-interval
+// draw counts, so jobs that differ in dim, device classes or fault plan
+// replay one trace, recorded once under its own key and accounted once.
+//
+// The cache is bounded: each trace is accounted at its footprint
+// (NoiseTrace.Bytes, floored at entrySizeFloor) for as long as a cached
+// entry replays it, each trace-free entry at entrySizeFloor, and the
 // least-recently-used entries are evicted once the total exceeds the
 // byte budget. Eviction only drops the cache's reference — environments
 // holding the JobState keep using it; the next miss on that key
 // rebuilds. Concurrent misses on one key share a single build
 // (singleflight): latecomers block until the builder finishes and see
-// its result, so no trace is ever recorded twice.
+// its result; concurrent builds needing one trace likewise share its
+// recording, so no trace is ever recorded twice while cached.
 type StateCache struct {
 	mu      sync.Mutex
 	max     int64
 	bytes   int64
 	entries map[string]*cacheEntry
+	// traces holds the noise traces handed to builds, by trace key.
+	traces map[string]*traceEntry
 	// LRU list, most recent at head. In-flight entries (still
 	// building) live in the map but not in the list, so eviction can
 	// never race a build.
@@ -65,15 +75,77 @@ type StateCache struct {
 }
 
 // cacheEntry is one key's slot. ready is closed when st/err are final;
-// linked/size are guarded by the cache mutex.
+// linked/size/trace are guarded by the cache mutex.
 type cacheEntry struct {
 	key        string
 	st         *cosim.JobState
 	err        error
 	size       int64
+	trace      *traceEntry // the shared trace st replays, if any
 	ready      chan struct{}
 	prev, next *cacheEntry
 	linked     bool
+}
+
+// traceEntry is one shared noise trace. ready is closed once tr is
+// recorded; refs counts the builds and cached entries holding it and
+// size its accounted bytes, both guarded by the cache mutex. The trace
+// leaves the cache (and the byte total) with its last holder.
+type traceEntry struct {
+	key   string
+	tr    *cosim.NoiseTrace
+	ready chan struct{}
+	refs  int
+	size  int64
+}
+
+// traceLease is the cosim.TraceStore one build sees: it takes a
+// reference on the trace the build asks for, which the cache then
+// hands to the built entry or releases.
+type traceLease struct {
+	c  *StateCache
+	te *traceEntry
+}
+
+// Trace implements cosim.TraceStore: the first build needing key
+// records the trace, concurrent and later ones wait for and share it.
+func (l *traceLease) Trace(key string, record func() *cosim.NoiseTrace) *cosim.NoiseTrace {
+	c := l.c
+	c.mu.Lock()
+	te, ok := c.traces[key]
+	if !ok {
+		te = &traceEntry{key: key, ready: make(chan struct{})}
+		c.traces[key] = te
+	}
+	te.refs++
+	l.te = te
+	c.mu.Unlock()
+	if ok {
+		<-te.ready
+		return te.tr
+	}
+	tr := record()
+	c.mu.Lock()
+	te.tr = tr
+	te.size = max(tr.Bytes(), entrySizeFloor)
+	c.bytes += te.size
+	if c.bytesM != nil {
+		c.bytesM.Set(float64(c.bytes))
+	}
+	c.mu.Unlock()
+	close(te.ready)
+	return tr
+}
+
+// releaseLocked drops one reference on te, removing the trace from the
+// cache and the byte total with its last holder.
+func (c *StateCache) releaseLocked(te *traceEntry) {
+	te.refs--
+	if te.refs > 0 {
+		return
+	}
+	c.bytes -= te.size
+	delete(c.traces, te.key)
 }
 
 // NewStateCache returns an empty cache bounded at DefaultCacheBytes.
@@ -87,7 +159,7 @@ func NewStateCacheBytes(maxBytes int64) *StateCache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultCacheBytes
 	}
-	return &StateCache{max: maxBytes, entries: map[string]*cacheEntry{}}
+	return &StateCache{max: maxBytes, entries: map[string]*cacheEntry{}, traces: map[string]*traceEntry{}}
 }
 
 // SetTelemetry mirrors the cache's counters into the hub's metric
@@ -175,6 +247,9 @@ func (c *StateCache) evictLocked() {
 		c.unlink(e)
 		delete(c.entries, e.key)
 		c.bytes -= e.size
+		if e.trace != nil {
+			c.releaseLocked(e.trace)
+		}
 		c.evictions++
 		if c.evictionsM != nil {
 			c.evictionsM.Inc()
@@ -221,23 +296,32 @@ func (c *StateCache) state(key string, cfg cosim.Config) (*cosim.JobState, error
 	if build == nil {
 		build = cosim.NewJobState
 	}
+	lease := &traceLease{c: c}
+	cfg.Traces = lease
 	st, err := build(cfg)
 
 	c.mu.Lock()
 	e.st, e.err = st, err
+	shared := err == nil && lease.te != nil && st.NoiseTrace() == lease.te.tr
+	if lease.te != nil && !shared {
+		c.releaseLocked(lease.te)
+	}
 	if err != nil {
 		// Failed builds do not occupy the cache; the key stays buildable
 		// (and re-fails) on the next lookup.
 		delete(c.entries, e.key)
 	} else {
-		e.size = st.TraceBytes()
-		if e.size < entrySizeFloor {
-			e.size = entrySizeFloor
+		if shared {
+			e.trace = lease.te
+		} else {
+			// A trace-free job (or one whose builder recorded its own
+			// trace) is charged on its own.
+			e.size = max(st.TraceBytes(), entrySizeFloor)
 		}
 		c.bytes += e.size
 		c.pushFront(e)
-		c.evictLocked()
 	}
+	c.evictLocked()
 	c.mu.Unlock()
 	close(e.ready)
 	return st, err

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"seesaw/internal/cosim"
+	"seesaw/internal/fault"
+	"seesaw/internal/machine"
 	"seesaw/internal/telemetry"
 )
 
@@ -283,5 +285,116 @@ func TestStateCacheKeyIndependence(t *testing.T) {
 	}
 	if want := memoKey + "/nomemo"; s.jobKey() != want {
 		t.Errorf("nomemo key = %q, want %q", s.jobKey(), want)
+	}
+}
+
+// TestStateCacheSharesTraces pins trace sharing: jobs differing only in
+// fault plan and device classes record one noise trace between them,
+// and the cache accounts that trace once — their entries add nothing
+// of their own. The concurrent round has every job miss at once, so
+// the builds race for the one recording.
+func TestStateCacheSharesTraces(t *testing.T) {
+	var specs []Spec
+	for _, fp := range []string{"", "kill:2@4", "slow:5@3x2+4"} {
+		for _, cs := range []string{"", "0-1:gpu,4-5:gpu"} {
+			s := cacheSpec(t, 0)
+			var err error
+			if s.Faults, err = fault.Parse(fp); err != nil {
+				t.Fatal(err)
+			}
+			if s.Classes, err = machine.ParseClassMap(cs); err != nil {
+				t.Fatal(err)
+			}
+			specs = append(specs, s)
+		}
+	}
+	for _, concurrent := range []bool{false, true} {
+		var builds atomic.Int64
+		c := countingCache(0, &builds, nil)
+		var mu sync.Mutex
+		traces := map[*cosim.NoiseTrace]bool{}
+		build := c.build
+		c.build = func(cfg cosim.Config) (*cosim.JobState, error) {
+			st, err := build(cfg)
+			if err == nil {
+				mu.Lock()
+				traces[st.NoiseTrace()] = true
+				mu.Unlock()
+			}
+			return st, err
+		}
+		var wg sync.WaitGroup
+		for _, s := range specs {
+			lookup := func() {
+				defer wg.Done()
+				if _, err := c.state(s.jobKey(), s.cosimConfig(nil)); err != nil {
+					t.Error(err)
+				}
+			}
+			wg.Add(1)
+			if concurrent {
+				go lookup()
+			} else {
+				lookup()
+			}
+		}
+		wg.Wait()
+		if n := builds.Load(); n != int64(len(specs)) {
+			t.Fatalf("concurrent=%t: %d JobState builds, want %d", concurrent, n, len(specs))
+		}
+		if len(traces) != 1 || traces[nil] {
+			t.Fatalf("concurrent=%t: %d distinct traces recorded (nil among them: %t), want 1", concurrent, len(traces), traces[nil])
+		}
+		var one int64
+		for tr := range traces {
+			one = tr.Bytes()
+		}
+		if one <= entrySizeFloor {
+			t.Fatalf("trace of %d bytes does not exceed the %d-byte floor; the byte check below would not be exact", one, entrySizeFloor)
+		}
+		if st := c.Stats(); st.Bytes != one || st.Entries != len(specs) {
+			t.Errorf("concurrent=%t: stats %+v, want %d entries accounted at the one trace's %d bytes", concurrent, st, len(specs), one)
+		}
+	}
+}
+
+// TestStateCacheSharedTraceEviction: a shared trace stays accounted
+// while any cached entry replays it and leaves the byte total with its
+// last holder.
+func TestStateCacheSharedTraceEviction(t *testing.T) {
+	spec := func(seed uint64, fp string) Spec {
+		s := cacheSpec(t, 0)
+		s.Seed = seed
+		var err error
+		if s.Faults, err = fault.Parse(fp); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	probe := NewStateCache()
+	a := spec(100, "")
+	st, err := probe.state(a.jobKey(), a.cosimConfig(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := st.TraceBytes()
+
+	// Room for one trace: the second seed's trace evicts both holders
+	// of the first, least recent first.
+	c := NewStateCacheBytes(one + one/2)
+	for _, s := range []Spec{spec(100, ""), spec(100, "kill:2@4")} {
+		if _, err := c.state(s.jobKey(), s.cosimConfig(nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := c.Stats(); st.Bytes != one || st.Entries != 2 {
+		t.Fatalf("two holders of one trace: %+v, want 2 entries at %d bytes", st, one)
+	}
+	b := spec(200, "")
+	if _, err := c.state(b.jobKey(), b.cosimConfig(nil)); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Bytes != one || st.Entries != 1 || st.Evictions != 2 {
+		t.Errorf("after a second trace: %+v, want 1 entry at %d bytes and 2 evictions", st, one)
 	}
 }
