@@ -39,11 +39,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz-smoke runs the event-encoder fuzz target briefly beyond its seed
-# corpus: every generated event must encode byte-identically to the
-# encoding/json oracle and decode back.
+# fuzz-smoke runs each fuzz target briefly beyond its seed corpus:
+# every generated event must encode byte-identically to the
+# encoding/json oracle and decode back, and the fault-plan and
+# class-map parsers must reject bad text with an error (never a panic)
+# and round-trip every plan or map they accept through String.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzEncode$$' -fuzztime 10s ./internal/telemetry/
+	$(GO) test -run xxx -fuzz '^FuzzFaultParse$$' -fuzztime 5s ./internal/fault/
+	$(GO) test -run xxx -fuzz '^FuzzParseClassMap$$' -fuzztime 5s ./internal/machine/
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
@@ -80,12 +84,14 @@ bench-scale-profile:
 # bench-scale-smoke runs every scale benchmark for one iteration — a
 # correctness gate (part of `make check`), not a measurement. CI runs
 # it at GOMAXPROCS=1 (via `make check`) and again at GOMAXPROCS=4 so
-# the striped/lock-free paths see real parallelism.
+# the striped/lock-free paths see real parallelism. The 16384-node
+# rollout keeps a 16k-node episode tractable.
 bench-scale-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./internal/mpi/
 	$(GO) test -run xxx -bench 'BenchmarkInsituScale/nodes=256' -benchtime 1x ./internal/insitu/
 	$(GO) test -run xxx -bench 'BenchmarkTopologies/nodes=256' -benchtime 1x ./internal/workflow/
-	$(GO) test -run xxx -bench 'BenchmarkRollouts/nodes=256' -benchtime 1x ./internal/rollout/
+	$(GO) test -run xxx -bench 'BenchmarkRollouts/nodes=(256|16384)$$' -benchtime 1x ./internal/rollout/
+	$(GO) test -run xxx -bench 'BenchmarkEpisodeRun' -benchtime 1x ./internal/cosim/
 	$(GO) test -run xxx -bench 'BenchmarkHetero/nodes=256' -benchtime 1x ./internal/cosim/
 	$(GO) test -run xxx -bench . -benchtime 1x ./internal/telemetry/
 

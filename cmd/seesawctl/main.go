@@ -209,6 +209,14 @@ func parseExit(err error) int {
 	return 2
 }
 
+// badInput reports a flag value the command cannot run with (a
+// malformed or invalid fault plan, class map or list) and exits 2, as
+// for a bad flag.
+func badInput(err error) int {
+	fmt.Fprintln(os.Stderr, "seesawctl:", err)
+	return 2
+}
+
 // fail reports err on stderr and picks the exit code: 130 for an
 // interrupted run (the shell convention for SIGINT), 1 otherwise.
 func fail(ctx context.Context, err error) int {
@@ -304,12 +312,15 @@ func runTrace(ctx context.Context, args []string) int {
 		return parseExit(err)
 	}
 	plan, err := fault.Parse(*faults)
+	if err == nil {
+		err = plan.Validate(*nodes)
+	}
 	if err != nil {
-		return fail(ctx, err)
+		return badInput(err)
 	}
 	classMap, err := machine.ParseClassMap(*classes)
 	if err != nil {
-		return fail(ctx, err)
+		return badInput(err)
 	}
 	hub, closeHub := mustOpenHub(*telPath)
 	defer closeHub()

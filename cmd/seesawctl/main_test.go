@@ -63,3 +63,18 @@ func TestBadFlagExitCodes(t *testing.T) {
 		}
 	}
 }
+
+// TestBadFaultPlanExitCodes pins that a fault plan the platform cannot
+// run — a non-finite slow factor, a non-positive one, or a node off the
+// platform — is rejected as bad input (exit 2, the fault error on
+// stderr) before any episode runs.
+func TestBadFaultPlanExitCodes(t *testing.T) {
+	for _, plan := range []string{"slow:1@2xNaN+3", "slow:1@2xInf+3", "slow:1@2x0+3", "kill:8@2"} {
+		for _, cmd := range []string{"search", "trace"} {
+			code, stderr := runCaptured(t, cmd, "-nodes", "8", "-steps", "20", "-faults", plan)
+			if code != 2 || !strings.Contains(stderr, "fault:") {
+				t.Errorf("%s -faults %s: exit %d, stderr %q; want 2 and the fault error", cmd, plan, code, stderr)
+			}
+		}
+	}
+}

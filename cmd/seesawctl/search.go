@@ -118,21 +118,27 @@ func runSearch(ctx context.Context, args []string) int {
 	}
 	var err error
 	if g.Nodes, err = intList(*nodes); err != nil {
-		return fail(ctx, err)
+		return badInput(err)
 	}
 	if g.Windows, err = intList(*windows); err != nil {
-		return fail(ctx, err)
+		return badInput(err)
 	}
 	if g.Dims, err = intList(*dims); err != nil {
-		return fail(ctx, err)
+		return badInput(err)
 	}
 	if g.Budgets, err = wattList(*budgets); err != nil {
-		return fail(ctx, err)
+		return badInput(err)
 	}
 
 	points, err := g.Expand()
 	if err != nil {
-		return fail(ctx, err)
+		return badInput(err)
+	}
+	for _, p := range points {
+		w := p.Spec.Workload
+		if err := p.Spec.Faults.Validate(w.SimNodes + w.AnaNodes); err != nil {
+			return badInput(fmt.Errorf("%s: %w", p.Key, err))
+		}
 	}
 	if *noMemo {
 		for i := range points {

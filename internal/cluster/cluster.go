@@ -1,5 +1,6 @@
 // Package cluster owns node lifecycle for the simulated jobs: it
-// constructs the machine.Nodes of a two-partition in-situ job (the
+// constructs the nodes of a two-partition in-situ job — one
+// machine.Bank of flat node state, with machine.Node views onto it (the
 // wiring previously duplicated across the cosim and insitu drivers),
 // tracks per-node health on the virtual clock, and applies deterministic
 // fault plans (package fault), exposing a membership view that shrinks
@@ -142,8 +143,9 @@ func (cfg Config) classes() map[string]machine.Class {
 
 // Cluster is the node population of one job plus its health state.
 type Cluster struct {
-	cfg   Config
-	nodes []*machine.Node
+	cfg Config
+	// bank holds every node's flat state; Node(i) is a view onto slot i.
+	bank  *machine.Bank
 	roles []core.Role
 	// caps holds each node's device-class capability; nil on a
 	// homogeneous cluster (no Classes configured).
@@ -151,7 +153,6 @@ type Cluster struct {
 
 	mu       sync.Mutex
 	health   []core.Health
-	slow     []float64 // slow factor currently applied to each node
 	aliveSim int
 	aliveAna int
 }
@@ -218,10 +219,9 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{
 		cfg:      cfg,
-		nodes:    make([]*machine.Node, n),
+		bank:     machine.NewBank(n),
 		roles:    make([]core.Role, n),
 		health:   make([]core.Health, n),
-		slow:     make([]float64, n),
 		aliveSim: cfg.SimNodes,
 		aliveAna: cfg.AnaNodes,
 	}
@@ -266,18 +266,17 @@ func New(cfg Config) (*Cluster, error) {
 		// bookkeeping (telemetry-attached domains keep it for violation
 		// reporting).
 		raplCfg.SustainedOnly = true
-		c.nodes[i] = machine.NewNodeWithSeeds(i, raplCfg, model, noise, cfg.JobSeed, runSeed)
+		node := c.bank.Add(i, raplCfg, model, noise, cfg.JobSeed, runSeed)
 		if i < cfg.SimNodes {
 			c.roles[i] = core.RoleSimulation
 		} else {
 			c.roles[i] = core.RoleAnalysis
 		}
-		c.slow[i] = 1
 		if cfg.Telemetry != nil {
 			// Metrics aggregate per partition; the event stream carries one
 			// representative node per partition.
 			eventful := i == 0 || i == cfg.SimNodes
-			c.nodes[i].RAPL().SetTelemetry(cfg.Telemetry, c.roles[i].String(), eventful)
+			node.RAPL().SetTelemetry(cfg.Telemetry, c.roles[i].String(), eventful)
 		}
 	}
 	return c, nil
@@ -291,19 +290,16 @@ func New(cfg Config) (*Cluster, error) {
 // freshly constructed one with the same Config.
 func (c *Cluster) Reset() {
 	c.mu.Lock()
-	for i := range c.nodes {
+	for i := range c.health {
 		c.health[i] = core.Healthy
-		c.slow[i] = 1
 	}
 	c.aliveSim, c.aliveAna = c.cfg.SimNodes, c.cfg.AnaNodes
 	c.mu.Unlock()
-	for _, n := range c.nodes {
-		n.Reset()
-	}
+	c.bank.Reset()
 }
 
 // Size returns the total node count.
-func (c *Cluster) Size() int { return len(c.nodes) }
+func (c *Cluster) Size() int { return c.bank.Len() }
 
 // SimNodes returns the configured simulation-partition size.
 func (c *Cluster) SimNodes() int { return c.cfg.SimNodes }
@@ -312,7 +308,25 @@ func (c *Cluster) SimNodes() int { return c.cfg.SimNodes }
 func (c *Cluster) AnaNodes() int { return c.cfg.AnaNodes }
 
 // Node returns node i's machine.
-func (c *Cluster) Node(i int) *machine.Node { return c.nodes[i] }
+func (c *Cluster) Node(i int) *machine.Node { return c.bank.Node(i) }
+
+// Bank returns the node population's flat state, for drivers that
+// sweep every node per interval (machine.Bank.RunInterval).
+func (c *Cluster) Bank() *machine.Bank { return c.bank }
+
+// ValidateBudget checks cons against the population: Validate for its
+// node count, and on a heterogeneous cluster the budget against the sum
+// of the nodes' class minimum caps (core.InfeasibleBudgetError).
+func (c *Cluster) ValidateBudget(cons core.Constraints) error {
+	return cons.ValidateNodes(c.Size(), c.caps)
+}
+
+// InitialCaps fills out (one entry per node) with the default initial
+// caps under cons: the even split, with every node's class floor
+// honoured inside the budget (core.FloorSplit).
+func (c *Cluster) InitialCaps(cons core.Constraints, out []units.Watts) {
+	core.FloorSplit(cons, c.caps, out)
+}
 
 // Role returns node i's partition role.
 func (c *Cluster) Role(i int) core.Role { return c.roles[i] }
@@ -389,7 +403,7 @@ func (c *Cluster) Measure(i int) core.NodeMeasure {
 	h := c.Health(i)
 	m := core.NodeMeasure{NodeID: i, Health: h, Role: c.roles[i]}
 	if h.Alive() {
-		m.Cap = c.nodes[i].RAPL().LongCap()
+		m.Cap = c.bank.Node(i).RAPL().LongCap()
 	}
 	if c.caps != nil {
 		m.NodeCapability = c.caps[i]
@@ -407,7 +421,7 @@ func (c *Cluster) Advance(t units.Seconds, sync int) []Transition {
 		return nil
 	}
 	var trs []Transition
-	for i := range c.nodes {
+	for i := range c.health {
 		trs = append(trs, c.apply(i, t, sync)...)
 	}
 	return trs
@@ -441,7 +455,6 @@ func (c *Cluster) apply(id int, t units.Seconds, sync int) []Transition {
 			c.cfg.Telemetry.NodeRecovered(float64(t), id, role.String(), sync)
 		}
 		c.health[id] = core.Dead
-		c.slow[id] = 1
 		if role == core.RoleSimulation {
 			c.aliveSim--
 		} else {
@@ -450,13 +463,13 @@ func (c *Cluster) apply(id int, t units.Seconds, sync int) []Transition {
 		c.cfg.Telemetry.NodeKilled(float64(t), id, role.String(), sync, c.aliveSim, c.aliveAna)
 		return []Transition{{NodeID: id, Role: role, From: from, To: core.Dead, Factor: 1, Sync: sync, T: t}}
 	}
+	node := c.bank.Node(id)
 	f := plan.SlowFactor(id, sync)
-	if f == c.slow[id] {
+	if f == node.SlowFactor() {
 		return nil
 	}
 	from := c.health[id]
-	c.slow[id] = f
-	c.nodes[id].SetSlowFactor(f)
+	node.SetSlowFactor(f)
 	if f == 1 {
 		c.health[id] = core.Healthy
 		c.cfg.Telemetry.NodeRecovered(float64(t), id, role.String(), sync)

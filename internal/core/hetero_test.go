@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -227,5 +228,35 @@ func TestHeteroAllocatorsRespectPerNodeClamps(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestValidateNodesClassMinimums pins the feasibility bound of a
+// class-mapped population: the budget must cover the sum of the
+// per-node class floors, not only nodes*MinCap, and the rejection is
+// the typed error naming that sum.
+func TestValidateNodesClassMinimums(t *testing.T) {
+	gpu := NodeCapability{Class: "gpu", MinCap: 100, MaxCap: 320, Weight: 2.2}
+	caps := make([]NodeCapability, 24)
+	caps[0], caps[1] = gpu, gpu
+	cons := Constraints{Budget: 98 * 24, MinCap: 98, MaxCap: 215}
+	if err := cons.Validate(24); err != nil {
+		t.Fatalf("uniform check rejected the exact uniform minimum: %v", err)
+	}
+	err := cons.ValidateNodes(24, caps)
+	var ie *InfeasibleBudgetError
+	if !errors.As(err, &ie) || ie.MinSum != 2356 || ie.Budget != 2352 || ie.Nodes != 24 {
+		t.Fatalf("ValidateNodes = %v, want an InfeasibleBudgetError naming the 2356 W sum", err)
+	}
+	cons.Budget = 2356
+	if err := cons.ValidateNodes(24, caps); err != nil {
+		t.Errorf("budget at the class-minimum sum rejected: %v", err)
+	}
+	if err := cons.ValidateNodes(24, nil); err != nil {
+		t.Errorf("homogeneous population rejected: %v", err)
+	}
+	cons.Budget = 98*24 - 1
+	if err := cons.ValidateNodes(24, nil); !errors.As(err, &ie) || ie.MinSum != 98*24 {
+		t.Errorf("uniform shortfall = %v, want an InfeasibleBudgetError naming %v", err, units.Watts(98*24))
 	}
 }

@@ -174,7 +174,9 @@ type Constraints struct {
 	MaxCap units.Watts
 }
 
-// Validate reports constraint errors.
+// Validate reports constraint errors: a non-positive budget, an
+// invalid cap range, or (for nodes > 0) a budget below nodes*MinCap,
+// reported as an *InfeasibleBudgetError.
 func (c Constraints) Validate(nodes int) error {
 	if c.Budget <= 0 {
 		return fmt.Errorf("core: budget must be positive, got %v", c.Budget)
@@ -183,10 +185,50 @@ func (c Constraints) Validate(nodes int) error {
 		return fmt.Errorf("core: invalid cap range [%v, %v]", c.MinCap, c.MaxCap)
 	}
 	if nodes > 0 && c.Budget < c.MinCap*units.Watts(nodes) {
-		return fmt.Errorf("core: budget %v below minimum %v for %d nodes",
-			c.Budget, c.MinCap*units.Watts(nodes), nodes)
+		return &InfeasibleBudgetError{Budget: c.Budget, MinSum: c.MinCap * units.Watts(nodes), Nodes: nodes}
 	}
 	return nil
+}
+
+// ValidateNodes is Validate for a population whose nodes may carry
+// device-class capabilities (caps[i] for node i; nil for a homogeneous
+// population of n nodes): the budget must also cover the sum of every
+// node's own minimum cap (CapRange). Hardware clamps a cap below a
+// class's floor up to it, so a budget under that sum cannot be held
+// whatever the allocator does.
+func (c Constraints) ValidateNodes(n int, caps []NodeCapability) error {
+	if err := c.Validate(n); err != nil {
+		return err
+	}
+	if caps == nil {
+		return nil
+	}
+	var sum units.Watts
+	for _, nc := range caps {
+		lo, _ := NodeMeasure{NodeCapability: nc}.CapRange(c)
+		sum += lo
+	}
+	if c.Budget < sum {
+		return &InfeasibleBudgetError{Budget: c.Budget, MinSum: sum, Nodes: len(caps)}
+	}
+	return nil
+}
+
+// InfeasibleBudgetError reports a power budget below the least total
+// the job's nodes can be capped to: the sum of the per-node minimum
+// caps (each device class's own floor where the node has one).
+type InfeasibleBudgetError struct {
+	// Budget is the requested job budget.
+	Budget units.Watts
+	// MinSum is the sum of the nodes' minimum caps.
+	MinSum units.Watts
+	// Nodes is the node count.
+	Nodes int
+}
+
+func (e *InfeasibleBudgetError) Error() string {
+	return fmt.Sprintf("core: budget %v below the %v sum of per-node minimum caps over %d nodes",
+		e.Budget, e.MinSum, e.Nodes)
 }
 
 // Policy is an online power-allocation strategy. Allocate is invoked at
@@ -228,6 +270,40 @@ func EvenSplit(c Constraints, nodes int) units.Watts {
 		return 0
 	}
 	return units.ClampWatts(c.Budget/units.Watts(nodes), c.MinCap, c.MaxCap)
+}
+
+// FloorSplit fills out with the default initial caps of len(out) nodes:
+// EvenSplit's share, except that a node whose own minimum cap (its
+// device-class floor, caps[i].MinCap) exceeds the share gets that floor
+// and the rest of the budget is split evenly over the other nodes —
+// repeatedly, until every share clears its node's floor. Hardware would
+// clamp a below-floor cap up to the floor anyway; granting the floor
+// and shrinking the other shares keeps the split within the budget.
+// When no floor exceeds the even share (always on a homogeneous
+// population, caps nil) every entry is exactly EvenSplit(c, len(out)).
+func FloorSplit(c Constraints, caps []NodeCapability, out []units.Watts) {
+	clear(out)
+	share := EvenSplit(c, len(out))
+	rest, free := c.Budget, len(out)
+	for pinned := caps != nil; pinned && free > 0; {
+		pinned = false
+		for i, nc := range caps {
+			if out[i] == 0 && nc.MinCap > share {
+				out[i] = nc.MinCap
+				rest -= nc.MinCap
+				free--
+				pinned = true
+			}
+		}
+		if pinned && free > 0 {
+			share = units.ClampWatts(rest/units.Watts(free), c.MinCap, c.MaxCap)
+		}
+	}
+	for i := range out {
+		if out[i] == 0 {
+			out[i] = share
+		}
+	}
 }
 
 // partitionTotals aggregates per-node measurements into the partition

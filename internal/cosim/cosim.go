@@ -61,7 +61,9 @@ type Config struct {
 	// Constraints carry the global budget and per-node cap range.
 	Constraints core.Constraints
 	// InitialSimCap and InitialAnaCap are per-node starting caps; zero
-	// means an even split of the budget (the paper's baseline).
+	// means an even split of the budget (the paper's baseline), raised
+	// to a node's device-class floor where the even share falls below it
+	// (core.FloorSplit).
 	InitialSimCap, InitialAnaCap units.Watts
 	// CapMode selects the RAPL cap types (CapLong by default for
 	// capped runs; use CapNone for uncapped variability rows).

@@ -62,6 +62,9 @@ type JobState struct {
 	overhead           units.Seconds
 	nSim, nAna, nTotal int
 
+	// draws is the job's per-interval draw layout (a NoiseTrace with no
+	// data): how many standard normals each node consumes per interval.
+	draws *NoiseTrace
 	// noise is the job's recorded jitter-draw trace, replayed read-only
 	// by every Episode (nil when memoization is off: NoNoiseMemo jobs,
 	// one-shot Run among them).
@@ -89,18 +92,26 @@ type NoiseTrace struct {
 	// are the interval's per-node draw counts in each partition.
 	base       []int
 	dSim, dAna []int
+	// total is the trace's length in draws.
+	total int
 }
 
 // Bytes returns the trace's storage footprint in bytes.
 func (t *NoiseTrace) Bytes() int64 { return int64(len(t.data)) * 8 }
 
+// span returns interval k's block bounds in data.
+func (t *NoiseTrace) span(k int) (lo, hi int) {
+	hi = t.total
+	if k+1 < len(t.base) {
+		hi = t.base[k+1]
+	}
+	return t.base[k], hi
+}
+
 // block returns interval k's draws and its per-node draw counts.
 func (t *NoiseTrace) block(k int) (blk []float64, dSim, dAna int) {
-	end := len(t.data)
-	if k+1 < len(t.base) {
-		end = t.base[k+1]
-	}
-	return t.data[t.base[k]:end], t.dSim[k], t.dAna[k]
+	lo, hi := t.span(k)
+	return t.data[lo:hi], t.dSim[k], t.dAna[k]
 }
 
 // slotOf returns node i's slot in an interval block with per-node draw
@@ -182,41 +193,40 @@ func NewJobState(cfg Config) (*JobState, error) {
 	// work-scaling never zeroes a nominal, so every live node draws
 	// exactly its fault-free count per interval, and a dead node stops
 	// drawing at its kill.
+	st.draws = st.drawLayout()
 	if !cfg.NoNoiseMemo {
 		st.noise = st.noiseTrace(traces)
 	}
 	return st, nil
 }
 
-// noiseTrace returns the job's noise trace: from the store when one is
-// given (recording it there on the key's first use), else freshly
-// recorded. The draw count per node and interval is derived from the
-// same phase tables the episodes execute: one draw per non-empty phase
-// execution, plus one for the power-reading ripple when PowerSigma is
-// active. Device adaptation rescales a nominal duration but never
-// zeroes it, so the raw tables count for every device class.
-func (st *JobState) noiseTrace(store TraceStore) *NoiseTrace {
-	perExec := 1
-	if st.cfg.Noise.PowerSigma > 0 {
-		perExec = 2
-	}
+// drawLayout derives the job's per-interval draw counts from the same
+// phase tables the episodes execute (machine.Draws per phase). Device
+// adaptation rescales a nominal duration but never zeroes it, so the
+// raw tables count for every device class.
+func (st *JobState) drawLayout() *NoiseTrace {
 	countDraws := func(phs []machine.Phase) int {
 		n := 0
 		for i := range phs {
-			if phs[i].Nominal != 0 {
-				n += perExec
-			}
+			n += machine.Draws(&phs[i], &st.cfg.Noise)
 		}
 		return n
 	}
 	nk := len(st.schedule)
 	t := &NoiseTrace{nSim: st.nSim, base: make([]int, nk), dSim: make([]int, nk), dAna: make([]int, nk)}
-	total := 0
 	for k := range st.schedule {
-		t.base[k] = total
+		t.base[k] = t.total
 		t.dSim[k], t.dAna[k] = countDraws(st.simPhases[k]), countDraws(st.anaPhases[k])
-		total += st.nSim*t.dSim[k] + st.nAna*t.dAna[k]
+		t.total += st.nSim*t.dSim[k] + st.nAna*t.dAna[k]
 	}
+	return t
+}
+
+// noiseTrace returns the job's noise trace: from the store when one is
+// given (recording it there on the key's first use), else freshly
+// recorded.
+func (st *JobState) noiseTrace(store TraceStore) *NoiseTrace {
+	t := *st.draws
 	record := func() *NoiseTrace {
 		// The cluster layer falls back to the job seed when no run seed
 		// is configured; the recorder mirrors that to tap the same
@@ -225,8 +235,8 @@ func (st *JobState) noiseTrace(store TraceStore) *NoiseTrace {
 		if runSeed == 0 {
 			runSeed = st.cfg.Seed
 		}
-		t.record(runSeed, st.nTotal, total)
-		return t
+		t.record(runSeed, st.nTotal)
+		return &t
 	}
 	if store == nil {
 		return record()
@@ -244,8 +254,8 @@ func (t *NoiseTrace) layoutKey(seed, runSeed uint64, nAna int) string {
 
 // record fills the trace interval by interval from each node's jitter
 // stream, so the writes sweep the flat slice front to back.
-func (t *NoiseTrace) record(runSeed uint64, nTotal, total int) {
-	t.data = make([]float64, total)
+func (t *NoiseTrace) record(runSeed uint64, nTotal int) {
+	t.data = make([]float64, t.total)
 	streams := make([]*rng.Stream, nTotal)
 	for i := range streams {
 		streams[i] = machine.JitterStream(runSeed, i)
@@ -280,7 +290,7 @@ type EpisodeParams struct {
 	// Constraints carry the global budget and per-node cap range.
 	Constraints core.Constraints
 	// InitialSimCap and InitialAnaCap are per-node starting caps; zero
-	// means an even split of the budget.
+	// means the default split (core.FloorSplit).
 	InitialSimCap, InitialAnaCap units.Watts
 	// CapMode selects the RAPL cap types.
 	CapMode CapMode
@@ -316,7 +326,14 @@ type Episode struct {
 	busy       []units.Seconds
 	measures   []core.NodeMeasure
 	lastEnergy []units.Joules
+	initial    []units.Watts
 	used       bool
+
+	// live is the pooled one-interval noise block of an episode without
+	// a recorded trace: each live node fills its slot from its jitter
+	// stream right before the sweep executes it, so memoized and live
+	// episodes run the same loop.
+	live []float64
 
 	// clock is the running episode's virtual time. It lives on the
 	// Episode so the instrumented policy's clock callback reads it
@@ -416,6 +433,15 @@ func (st *JobState) NewEpisode() (*Episode, error) {
 		busy:       make([]units.Seconds, st.nTotal),
 		measures:   make([]core.NodeMeasure, st.nTotal),
 		lastEnergy: make([]units.Joules, st.nTotal),
+		initial:    make([]units.Watts, st.nTotal),
+	}
+	if st.noise == nil {
+		n := 0
+		for k := range st.schedule {
+			lo, hi := st.draws.span(k)
+			n = max(n, hi-lo)
+		}
+		ep.live = make([]float64, n)
 	}
 	validated := map[machine.Model]bool{}
 	for i := 0; i < st.nTotal; i++ {
@@ -454,15 +480,8 @@ func (ep *Episode) Run(ctx context.Context, prm EpisodeParams) (*Result, error) 
 		pol = core.NewStatic()
 	}
 	if prm.CapMode != CapNone {
-		if err := prm.Constraints.Validate(nTotal); err != nil {
+		if err := ep.cl.ValidateBudget(prm.Constraints); err != nil {
 			return nil, err
-		}
-		even := core.EvenSplit(prm.Constraints, nTotal)
-		if prm.InitialSimCap == 0 {
-			prm.InitialSimCap = even
-		}
-		if prm.InitialAnaCap == 0 {
-			prm.InitialAnaCap = even
 		}
 	}
 
@@ -483,12 +502,18 @@ func (ep *Episode) Run(ctx context.Context, prm EpisodeParams) (*Result, error) 
 
 	ep.clock = 0
 	policy := core.Instrument(pol, cfg.Telemetry, func() float64 { return float64(ep.clock) })
-	// Install initial caps.
+	// Install initial caps: the partition's explicit cap, else the
+	// default split.
 	if prm.CapMode != CapNone {
+		initial := ep.initial
+		cl.InitialCaps(prm.Constraints, initial)
 		for i := 0; i < nTotal; i++ {
 			cap := prm.InitialAnaCap
 			if cl.Role(i) == core.RoleSimulation {
 				cap = prm.InitialSimCap
+			}
+			if cap == 0 {
+				cap = initial[i]
 			}
 			cl.Node(i).RAPL().SetLongCap(cap)
 			if prm.CapMode == CapLongShort {
@@ -510,6 +535,7 @@ func (ep *Episode) Run(ctx context.Context, prm EpisodeParams) (*Result, error) 
 	idleSimM := cfg.Telemetry.IdleWaitMetric(core.RoleSimulation.String())
 	idleAnaM := cfg.Telemetry.IdleWaitMetric(core.RoleAnalysis.String())
 	noise := st.noise
+	bank := cl.Bank()
 
 	for syncIdx, iv := range st.schedule {
 		if err := ctx.Err(); err != nil {
@@ -535,25 +561,34 @@ func (ep *Episode) Run(ctx context.Context, prm EpisodeParams) (*Result, error) 
 		var dSim, dAna int
 		if noise != nil {
 			blk, dSim, dAna = noise.block(syncIdx)
+		} else {
+			lo, hi := st.draws.span(syncIdx)
+			blk, dSim, dAna = ep.live[:hi-lo], st.draws.dSim[syncIdx], st.draws.dAna[syncIdx]
 		}
 
-		// 1. Execute every live node's interval.
+		// 1. Execute every live node's interval: one node-major sweep
+		// over the bank, each node reading its slot of the interval's
+		// noise block (filled from its jitter stream first when the job
+		// has no recorded trace).
 		for i := 0; i < nTotal; i++ {
 			if !alive[i] {
 				busy[i] = 0
 				continue
 			}
-			n := cl.Node(i)
-			if noise != nil {
-				n.SetNoiseTrace(slotOf(blk, i, nSim, dSim, dAna))
+			norms := slotOf(blk, i, nSim, dSim, dAna)
+			if noise == nil {
+				bank.NextNoise(i, norms)
 			}
-			traced := cfg.TraceSegments && (i == 0 || i == nSim)
 			phases := ep.tables[i][syncIdx]
 			var t units.Seconds
-			for k := range phases {
-				exec := n.RunAdapted(&phases[k], &cfg.Noise)
-				t += exec.Duration
-				if traced {
+			if cfg.TraceSegments && (i == 0 || i == nSim) {
+				// A traced node runs phase by phase to record each
+				// phase's segment.
+				for k := range phases {
+					d := machine.Draws(&phases[k], &cfg.Noise)
+					_, exec := bank.RunInterval(i, phases[k:k+1], &cfg.Noise, norms[:d])
+					norms = norms[d:]
+					t += exec.Duration
 					seg := Segment{Start: ep.clock + t - exec.Duration, Duration: exec.Duration, Power: exec.Power}
 					if i == 0 {
 						res.SimSegments = append(res.SimSegments, seg)
@@ -561,6 +596,8 @@ func (ep *Episode) Run(ctx context.Context, prm EpisodeParams) (*Result, error) 
 						res.AnaSegments = append(res.AnaSegments, seg)
 					}
 				}
+			} else {
+				t, _ = bank.RunInterval(i, phases, &cfg.Noise, norms)
 			}
 			// The previous allocation's overhead is part of this
 			// interval's runtime (the paper's measurement convention).

@@ -7,6 +7,7 @@ import (
 
 	"seesaw/internal/core"
 	"seesaw/internal/machine"
+	"seesaw/internal/policy"
 	"seesaw/internal/units"
 	"seesaw/internal/workload"
 )
@@ -58,4 +59,61 @@ func BenchmarkHetero(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkEpisodeRun times pooled, memoized episodes at the policy
+// search's headline shape — 512+512 nodes, dim 16, 400 steps, msd,
+// default noise, long caps — cycling through every registered policy at
+// windows 1 and 2 and four budgets, as a search grid over one job does,
+// and reports the window kernel's cost per node per synchronization
+// interval. The JobState and Episode are built once outside the timer,
+// as a search worker holds them across grid points.
+func BenchmarkEpisodeRun(b *testing.B) {
+	const nodes = 1024
+	st, err := NewJobState(Config{
+		Spec: workload.Spec{
+			SimNodes: nodes / 2, AnaNodes: nodes / 2,
+			Dim: 16, J: 1, Steps: 400, Analyses: workload.Tasks("msd"),
+		},
+		Seed:    11,
+		RunSeed: 12,
+		Noise:   machine.DefaultNoise(),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ep, err := st.NewEpisode()
+	if err != nil {
+		b.Fatal(err)
+	}
+	type point struct {
+		policy string
+		window int
+		cons   core.Constraints
+	}
+	var grid []point
+	for _, w := range []int{1, 2} {
+		for _, perNode := range []float64{100, 107, 114, 121} {
+			for _, name := range policy.Names() {
+				cons := core.Constraints{Budget: units.Watts(perNode * nodes), MinCap: 98, MaxCap: 215}
+				grid = append(grid, point{name, w, cons})
+			}
+		}
+	}
+	nodeSyncs := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pt := grid[i%len(grid)]
+		pol, err := policy.New(pt.policy, pt.cons, pt.window)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := ep.Run(context.Background(), EpisodeParams{Policy: pol, Constraints: pt.cons, CapMode: CapLong})
+		if err != nil {
+			b.Fatal(err)
+		}
+		nodeSyncs += nodes * res.SyncLog.Len()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodeSyncs), "ns/node-sync")
 }

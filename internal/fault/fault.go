@@ -9,6 +9,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -53,7 +54,8 @@ type Event struct {
 	// Sync is the 1-based synchronization index at which the event
 	// fires.
 	Sync int
-	// Factor (Slow only) multiplies phase durations; must be > 0.
+	// Factor (Slow only) multiplies phase durations; must be positive
+	// and finite.
 	// Factors above 1 slow the node down.
 	Factor float64
 	// Window (Slow only) is how many synchronizations the excursion
@@ -61,13 +63,15 @@ type Event struct {
 	Window int
 }
 
-// String renders the event in the Parse grammar.
+// String renders the event in the Parse grammar. The factor is written
+// in plain decimal: an exponent's sign would read as the window
+// separator.
 func (e Event) String() string {
 	switch e.Kind {
 	case Kill:
 		return fmt.Sprintf("kill:%d@%d", e.Node, e.Sync)
 	case Slow:
-		return fmt.Sprintf("slow:%d@%dx%g+%d", e.Node, e.Sync, e.Factor, e.Window)
+		return fmt.Sprintf("slow:%d@%dx%s+%d", e.Node, e.Sync, strconv.FormatFloat(e.Factor, 'f', -1, 64), e.Window)
 	default:
 		return fmt.Sprintf("invalid:%d@%d", e.Node, e.Sync)
 	}
@@ -84,8 +88,8 @@ type Plan struct {
 func (p *Plan) Empty() bool { return p == nil || len(p.Events) == 0 }
 
 // Validate checks every event against a platform of n nodes: targets
-// in [0, n), sync >= 1, slow factors > 0 with windows >= 1, and at
-// most one kill per node.
+// in [0, n), sync >= 1, slow factors positive and finite (alone and
+// combined per node) with windows >= 1, and at most one kill per node.
 func (p *Plan) Validate(n int) error {
 	if p.Empty() {
 		return nil
@@ -105,8 +109,8 @@ func (p *Plan) Validate(n int) error {
 			}
 			killed[e.Node] = true
 		case Slow:
-			if e.Factor <= 0 {
-				return fmt.Errorf("fault: event %d (%s) has non-positive factor %g", i, e, e.Factor)
+			if !finitePositive(e.Factor) {
+				return fmt.Errorf("fault: event %d (%s) has factor %g; must be positive and finite", i, e, e.Factor)
 			}
 			if e.Window < 1 {
 				return fmt.Errorf("fault: event %d (%s) has window %d; must cover at least one sync", i, e, e.Window)
@@ -115,8 +119,31 @@ func (p *Plan) Validate(n int) error {
 			return fmt.Errorf("fault: event %d has invalid kind %d", i, int(e.Kind))
 		}
 	}
+	// Overlapping excursions multiply (SlowFactor), so every product of
+	// one node's factors must stay positive and finite as well: bound it
+	// by the product of the node's speed-downs and of its speed-ups.
+	up, down := map[int]float64{}, map[int]float64{}
+	for _, e := range p.Events {
+		if e.Kind != Slow {
+			continue
+		}
+		if _, ok := up[e.Node]; !ok {
+			up[e.Node], down[e.Node] = 1, 1
+		}
+		if e.Factor > 1 {
+			up[e.Node] *= e.Factor
+		} else {
+			down[e.Node] *= e.Factor
+		}
+		if !finitePositive(up[e.Node]) || !finitePositive(down[e.Node]) {
+			return fmt.Errorf("fault: node %d's slow factors combine beyond a positive finite factor", e.Node)
+		}
+	}
 	return nil
 }
+
+// finitePositive reports whether f is a usable duration multiplier.
+func finitePositive(f float64) bool { return f > 0 && !math.IsInf(f, 1) }
 
 // KillSync returns the earliest sync at which the plan kills node, or
 // 0 if it never does.
@@ -292,6 +319,9 @@ func parseEvent(tok string) (Event, error) {
 			factorStr, winStr, hasWin := strings.Cut(factorPart, "+")
 			if e.Factor, err = strconv.ParseFloat(factorStr, 64); err != nil {
 				return Event{}, fmt.Errorf("fault: %q: bad factor %q: %v", tok, factorStr, err)
+			}
+			if math.IsNaN(e.Factor) || math.IsInf(e.Factor, 0) {
+				return Event{}, fmt.Errorf("fault: %q: factor %g is not finite", tok, e.Factor)
 			}
 			if hasWin {
 				if e.Window, err = strconv.Atoi(winStr); err != nil {

@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -45,7 +47,7 @@ func TestParseEmptyAndErrors(t *testing.T) {
 	if p, err := Parse("  "); p != nil || err != nil {
 		t.Errorf("blank spec: %v, %v", p, err)
 	}
-	for _, bad := range []string{"kill:5", "boom:1@2", "kill:x@2", "kill:1@y", "slow:1@2xq", "slow:1@2x2+z", "5@20"} {
+	for _, bad := range []string{"kill:5", "boom:1@2", "kill:x@2", "kill:1@y", "slow:1@2xq", "slow:1@2x2+z", "5@20", "slow:1@2xNaN+3", "slow:1@2xInf", "slow:1@2x-Inf+3"} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", bad)
 		}
@@ -69,6 +71,11 @@ func TestValidate(t *testing.T) {
 		{&Plan{Events: []Event{{Kind: Kill, Node: 0, Sync: 0}}}, "1-based"},
 		{&Plan{Events: []Event{{Kind: Kill, Node: 0, Sync: 1}, {Kind: Kill, Node: 0, Sync: 2}}}, "twice"},
 		{&Plan{Events: []Event{{Kind: Slow, Node: 0, Sync: 1, Factor: 0, Window: 1}}}, "factor"},
+		{&Plan{Events: []Event{{Kind: Slow, Node: 0, Sync: 1, Factor: math.NaN(), Window: 1}}}, "positive and finite"},
+		{&Plan{Events: []Event{{Kind: Slow, Node: 0, Sync: 1, Factor: math.Inf(1), Window: 1}}}, "positive and finite"},
+		{&Plan{Events: []Event{{Kind: Slow, Node: 0, Sync: 1, Factor: math.Inf(-1), Window: 1}}}, "positive and finite"},
+		{&Plan{Events: []Event{{Kind: Slow, Node: 0, Sync: 1, Factor: 1e200, Window: 3}, {Kind: Slow, Node: 0, Sync: 2, Factor: 1e200, Window: 3}}}, "combine"},
+		{&Plan{Events: []Event{{Kind: Slow, Node: 0, Sync: 1, Factor: 1e-200, Window: 3}, {Kind: Slow, Node: 0, Sync: 2, Factor: 1e-200, Window: 3}}}, "combine"},
 		{&Plan{Events: []Event{{Kind: Slow, Node: 0, Sync: 1, Factor: 2, Window: 0}}}, "window"},
 		{&Plan{Events: []Event{{Kind: Kind(9), Node: 0, Sync: 1}}}, "invalid kind"},
 	}
@@ -185,4 +192,31 @@ func TestKilledError(t *testing.T) {
 	if !strings.Contains(e.Error(), "node 3") || !strings.Contains(e.Error(), "sync 7") {
 		t.Errorf("unhelpful error: %s", e.Error())
 	}
+}
+
+// FuzzFaultParse checks the plan grammar on arbitrary input: Parse
+// returns an error or a plan, never panics, and every plan it accepts
+// renders (String) back to text that parses to the same plan.
+func FuzzFaultParse(f *testing.F) {
+	for _, s := range []string{
+		"kill:5@20", "slow:3@10x2+15", "kill:5@20,slow:3@10x2.5+15",
+		"kill:0@1,kill:7@3,slow:2@4x1.5+1", "slow:3@10", "slow:3@10x3.5", "  ",
+		"kill:5", "boom:1@2", "kill:x@2", "kill:1@y", "slow:1@2xq", "slow:1@2x2+z", "5@20",
+		"slow:1@2xNaN+3", "slow:1@2xInf", "slow:1@2x-1+3", "slow:1@2x0x1p1+2",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := Parse(s)
+		if err != nil || p == nil {
+			return
+		}
+		again, err := Parse(p.String())
+		if err != nil {
+			t.Fatalf("Parse(%q).String() = %q does not parse: %v", s, p.String(), err)
+		}
+		if !reflect.DeepEqual(again, p) {
+			t.Fatalf("Parse(%q) = %+v, but its String %q parses to %+v", s, p, p.String(), again)
+		}
+	})
 }

@@ -79,7 +79,7 @@ type Config struct {
 	Constraints core.Constraints
 	// InitialSimCap / InitialAnaCap are the initial per-node caps
 	// (Figure 7's unbalanced starts); zero means an even split of the
-	// budget.
+	// budget (see core.FloorSplit for class-mapped nodes).
 	InitialSimCap, InitialAnaCap units.Watts
 	// ShortTermCap additionally installs short-term RAPL caps.
 	ShortTermCap bool
@@ -178,17 +178,9 @@ func (c *Config) normalize() error {
 		c.wattScale, c.timeScale = 0.5, 2
 	}
 	nodes := c.SimRanks + c.AnaRanks
-	if err := c.Constraints.Validate(nodes); err != nil {
-		return err
-	}
-	even := core.EvenSplit(c.Constraints, nodes)
-	if c.InitialSimCap == 0 {
-		c.InitialSimCap = even
-	}
-	if c.InitialAnaCap == 0 {
-		c.InitialAnaCap = even
-	}
-	return nil
+	// Zero initial caps stay zero: the workflow engine fills them with
+	// the default split, which honours device-class floors.
+	return c.Constraints.Validate(nodes)
 }
 
 // analysisInterval returns the synchronization interval of one analysis.

@@ -157,17 +157,19 @@ func (j *Job) Validate() error {
 	if j.Policy != "" && !policy.Valid(j.Policy) {
 		return fmt.Errorf("jobfile: unknown policy %q (valid: %s)", j.Policy, strings.Join(policy.Names(), ", "))
 	}
-	if _, err := fault.Parse(j.Faults); err != nil {
+	n := j.Nodes
+	if n == 0 {
+		n = j.SimNodes + j.AnaNodes
+	}
+	if plan, err := fault.Parse(j.Faults); err != nil {
+		return fmt.Errorf("jobfile: %w", err)
+	} else if err := plan.Validate(n); err != nil {
 		return fmt.Errorf("jobfile: %w", err)
 	}
 	if cm, err := machine.ParseClassMap(j.Classes); err != nil {
 		return fmt.Errorf("jobfile: %w", err)
 	} else if !cm.Empty() {
 		resolve := func(name string) bool { _, ok := machine.PresetClass(name); return ok }
-		n := j.Nodes
-		if n == 0 {
-			n = j.SimNodes + j.AnaNodes
-		}
 		if err := cm.Validate(n, resolve, machine.PresetNames()); err != nil {
 			return fmt.Errorf("jobfile: %w", err)
 		}

@@ -123,6 +123,8 @@ func TestValidateErrors(t *testing.T) {
 		`{"nodes": 8, "sim_nodes": 2, "ana_nodes": 2, "dim": 16, "steps": 10, "analyses": [{"name":"msd"}]}`, // inconsistent
 		`{"nodes": 8, "dim": 16, "steps": 10, "analyses": [{"name":"msd"}], "cap_mode": "weird"}`,            // bad mode
 		`{"nodes": 8, "dim": 16, "steps": 10, "analyses": [{"name":"msd"}], "policy": "weird"}`,              // bad policy
+		`{"nodes": 8, "dim": 16, "steps": 10, "analyses": [{"name":"msd"}], "faults": "kill:8@2"}`,           // fault off the platform
+		`{"nodes": 8, "dim": 16, "steps": 10, "analyses": [{"name":"msd"}], "faults": "slow:1@2x0+3"}`,       // zero slow factor
 	}
 	for i, c := range cases {
 		if _, err := Load(strings.NewReader(c)); err == nil {

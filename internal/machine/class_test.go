@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -182,4 +183,30 @@ func TestWeightIsSpeedPerWattSignal(t *testing.T) {
 	if diff := w/ratio - 1; diff > 0.01 || diff < -0.01 {
 		t.Errorf("weight %g does not track duration ratio %g", w, ratio)
 	}
+}
+
+// FuzzParseClassMap checks the class-map grammar on arbitrary input:
+// ParseClassMap returns an error or a map, never panics, and every map
+// it accepts renders (String) back to text that parses to the same map.
+func FuzzParseClassMap(f *testing.F) {
+	for _, s := range []string{
+		"0-511:cpu, 512-575:gpu,600:lowpower", "0-3:cpu,4-7:gpu", "5:gpu", "  ",
+		"0-3", "0-3:", "x-3:cpu", "0-y:cpu", "3-0:cpu", "-1:cpu", "0-3:cpu,,4:x",
+		"0-3:cpu,2:gpu", "0-3:cpu,3-5:gpu", "+3:a:b", "0-+5:x-y",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		m, err := ParseClassMap(s)
+		if err != nil || m == nil {
+			return
+		}
+		again, err := ParseClassMap(m.String())
+		if err != nil {
+			t.Fatalf("ParseClassMap(%q).String() = %q does not parse: %v", s, m.String(), err)
+		}
+		if !reflect.DeepEqual(again, m) {
+			t.Fatalf("ParseClassMap(%q) = %+v, but its String %q parses to %+v", s, m, m.String(), again)
+		}
+	})
 }

@@ -21,6 +21,8 @@ package machine
 
 import (
 	"fmt"
+	"math"
+	"unsafe"
 
 	"seesaw/internal/rapl"
 	"seesaw/internal/rng"
@@ -165,7 +167,7 @@ func (m Model) Scale(f float64) Model {
 // perf returns the normalized performance factor at effective power p for
 // a phase saturating at sat: linear in (p - ZeroWork) up to saturation,
 // flat beyond, floored at MinPerf.
-func (m Model) perf(p, sat units.Watts) float64 {
+func (m *Model) perf(p, sat units.Watts) float64 {
 	if p > sat {
 		p = sat
 	}
@@ -228,35 +230,135 @@ func DefaultNoise() NoiseModel {
 	}
 }
 
-// Node is one simulated compute node: a RAPL domain plus a performance
-// model and private noise streams.
-type Node struct {
-	id          int
-	rapl        *rapl.Domain
-	model       Model
+// Bank is the flat state of one job's node population: one per-job
+// slice of compact per-node records holds what the execution path
+// touches (skews, power efficiency, slow factor, busy/idle accounting,
+// device model), the noise streams and replay cursors sit in side
+// slices, and the nodes' RAPL domains live in one rapl.Bank alongside.
+// RunInterval executes a node's phases against that state; a driver
+// that sweeps the nodes in order streams through both banks'
+// contiguous records. A Node is a view onto one slot, and its methods
+// forward to the same slot code, so the per-node API and the sweep
+// cannot diverge.
+type Bank struct {
+	rapl *rapl.Bank
+	// models holds the distinct performance models in the bank.
+	models []Model
+	slots  []slot
+	ids    []int
+
+	// jitter is each node's live noise stream and jitter0 its initial
+	// value, kept so Reset can rewind the stream for pooled reuse.
+	jitter  []rng.Stream
+	jitter0 []rng.Stream
+	// trace, when non-nil for a slot, replays pre-recorded standard-
+	// normal draws in place of the live stream (see Node.SetNoiseTrace);
+	// tracePos is the replay cursor, rewound by Reset.
+	trace    [][]float64
+	tracePos []int
+
+	nodes []Node
+}
+
+// slot is one node's hot state: one cache line.
+type slot struct {
 	skew        float64
 	powerEff    float64
 	runSkew     float64
 	dualRunSkew float64
-	jitter      *rng.Stream
-	// jitter0 is the jitter stream's initial value, kept so Reset can
-	// rewind the (consumed-during-run) stream for pooled episode reuse.
-	jitter0 rng.Stream
-
-	// noiseTrace, when non-nil, replays pre-recorded standard-normal
-	// draws in place of the live jitter stream (see SetNoiseTrace);
-	// noisePos is the replay cursor, rewound by Reset.
-	noiseTrace []float64
-	noisePos   int
-
-	// slowFactor is a settable excursion multiplier on phase durations
+	// slow is the settable excursion multiplier on phase durations
 	// (1 = nominal). The cluster layer drives it from fault plans to
 	// model transient slow-node excursions; unlike the seeded noise
 	// skews it can change mid-run.
-	slowFactor float64
+	slow  float64
+	busy  units.Seconds // cumulative non-idle time
+	idle  units.Seconds // cumulative idle (sync-wait) time
+	model int32
+}
 
-	busy units.Seconds // cumulative non-idle time
-	idle units.Seconds // cumulative idle (sync-wait) time
+// NewBank returns an empty bank with room for n nodes.
+func NewBank(n int) *Bank {
+	return &Bank{
+		rapl:     rapl.NewBank(n),
+		slots:    make([]slot, 0, n),
+		ids:      make([]int, 0, n),
+		jitter:   make([]rng.Stream, 0, n),
+		jitter0:  make([]rng.Stream, 0, n),
+		trace:    make([][]float64, 0, n),
+		tracePos: make([]int, 0, n),
+		nodes:    make([]Node, 0, n),
+	}
+}
+
+// Add appends node id to the bank, with separate job and run seeds, and
+// returns its view. The job seed fixes node-allocation effects (speed
+// skew, power-efficiency skew): two runs inside one job share them (the
+// paper's run-to-run setting), while different jobs draw fresh ones
+// (job-to-job). The run seed drives per-phase jitter, fresh on every
+// run. It panics on an invalid RAPL configuration.
+func (b *Bank) Add(id int, cfg rapl.Config, model Model, noise NoiseModel, jobSeed, runSeed uint64) *Node {
+	if _, err := b.rapl.Add(cfg); err != nil {
+		panic(err)
+	}
+	mi := -1
+	for k := range b.models {
+		if b.models[k] == model {
+			mi = k
+			break
+		}
+	}
+	if mi < 0 {
+		mi = len(b.models)
+		b.models = append(b.models, model)
+	}
+	skewStream := rng.DeriveIndexed(jobSeed, "node-skew", id)
+	effStream := rng.DeriveIndexed(jobSeed, "node-poweff", id)
+	runStream := rng.DeriveIndexed(runSeed, "node-runskew", id)
+	dualStream := rng.DeriveIndexed(runSeed, "node-dualskew", id)
+	jitter := *JitterStream(runSeed, id)
+	i := len(b.nodes)
+	b.slots = append(b.slots, slot{
+		skew:        skewStream.LogNormFactor(noise.SkewSigma),
+		powerEff:    effStream.LogNormFactor(noise.PowerEffSigma),
+		runSkew:     runStream.LogNormFactor(noise.RunSigma),
+		dualRunSkew: dualStream.LogNormFactor(noise.DualRunSigma),
+		slow:        1,
+		model:       int32(mi),
+	})
+	b.ids = append(b.ids, id)
+	b.jitter = append(b.jitter, jitter)
+	b.jitter0 = append(b.jitter0, jitter)
+	b.trace = append(b.trace, nil)
+	b.tracePos = append(b.tracePos, 0)
+	b.nodes = append(b.nodes, Node{b: b, i: i})
+	return &b.nodes[i]
+}
+
+// Len returns the number of nodes in the bank.
+func (b *Bank) Len() int { return len(b.nodes) }
+
+// Node returns slot i's view.
+func (b *Bank) Node(i int) *Node { return &b.nodes[i] }
+
+// Reset returns every node to its just-constructed state; see
+// Node.Reset.
+func (b *Bank) Reset() {
+	b.rapl.Reset()
+	copy(b.jitter, b.jitter0)
+	clear(b.tracePos)
+	for i := range b.slots {
+		s := &b.slots[i]
+		s.slow = 1
+		s.busy, s.idle = 0, 0
+	}
+}
+
+// Node is one simulated compute node: a RAPL domain plus a performance
+// model and private noise streams. It is a view onto one slot of a
+// Bank; nodes built by NewNode own a one-slot bank.
+type Node struct {
+	b *Bank
+	i int
 }
 
 // NewNode builds a node with a single seed driving both the job-level
@@ -265,29 +367,10 @@ func NewNode(id int, cfg rapl.Config, model Model, noise NoiseModel, seed uint64
 	return NewNodeWithSeeds(id, cfg, model, noise, seed, seed)
 }
 
-// NewNodeWithSeeds builds a node with separate job and run seeds. The
-// job seed fixes node-allocation effects (speed skew, power-efficiency
-// skew): two runs inside one job share them (the paper's run-to-run
-// setting), while different jobs draw fresh ones (job-to-job). The run
-// seed drives per-phase jitter, fresh on every run.
+// NewNodeWithSeeds builds a node with separate job and run seeds (see
+// Bank.Add).
 func NewNodeWithSeeds(id int, cfg rapl.Config, model Model, noise NoiseModel, jobSeed, runSeed uint64) *Node {
-	skewStream := rng.DeriveIndexed(jobSeed, "node-skew", id)
-	effStream := rng.DeriveIndexed(jobSeed, "node-poweff", id)
-	runStream := rng.DeriveIndexed(runSeed, "node-runskew", id)
-	dualStream := rng.DeriveIndexed(runSeed, "node-dualskew", id)
-	jitter := JitterStream(runSeed, id)
-	return &Node{
-		id:          id,
-		rapl:        rapl.MustNewDomain(cfg),
-		model:       model,
-		skew:        skewStream.LogNormFactor(noise.SkewSigma),
-		powerEff:    effStream.LogNormFactor(noise.PowerEffSigma),
-		runSkew:     runStream.LogNormFactor(noise.RunSigma),
-		dualRunSkew: dualStream.LogNormFactor(noise.DualRunSigma),
-		slowFactor:  1,
-		jitter:      jitter,
-		jitter0:     *jitter,
-	}
+	return NewBank(1).Add(id, cfg, model, noise, jobSeed, runSeed)
 }
 
 // Reset returns the node to its just-constructed state for pooled
@@ -297,11 +380,13 @@ func NewNodeWithSeeds(id int, cfg rapl.Config, model Model, noise NoiseModel, jo
 // stay as drawn, so a reset node replays exactly the execution sequence
 // of a freshly built node with the same seeds.
 func (n *Node) Reset() {
-	n.rapl.Reset()
-	*n.jitter = n.jitter0
-	n.noisePos = 0
-	n.slowFactor = 1
-	n.busy, n.idle = 0, 0
+	b, i := n.b, n.i
+	b.rapl.Domain(i).Reset()
+	b.jitter[i] = b.jitter0[i]
+	b.tracePos[i] = 0
+	s := &b.slots[i]
+	s.slow = 1
+	s.busy, s.idle = 0, 0
 }
 
 // SetNoiseTrace installs a recorded standard-normal draw sequence for
@@ -313,22 +398,27 @@ func (n *Node) Reset() {
 // live stream. The slice is read, never written; callers may share one
 // trace across any number of nodes' replays concurrently.
 func (n *Node) SetNoiseTrace(t []float64) {
-	n.noiseTrace = t
-	n.noisePos = 0
+	n.b.trace[n.i] = t
+	n.b.tracePos[n.i] = 0
 }
 
-// nextNorm returns the node's next standard-normal noise draw: the
-// next trace entry under replay, or a live Box-Muller draw otherwise.
-// A replay past the recorded length panics — the trace length is
-// derived from the same phase tables the episode executes, so running
-// out is a driver accounting bug, not a recoverable condition.
-func (n *Node) nextNorm() float64 {
-	if n.noiseTrace != nil {
-		v := n.noiseTrace[n.noisePos]
-		n.noisePos++
-		return v
+// NextNoise fills dst with node i's next standard-normal noise draws:
+// the next trace entries under replay, or live Box-Muller draws
+// otherwise. A replay past the recorded length panics — the trace
+// length is derived from the same phase tables the driver executes, so
+// running out is a driver accounting bug, not a recoverable condition.
+func (b *Bank) NextNoise(i int, dst []float64) {
+	if t := b.trace[i]; t != nil {
+		// A phase takes one or two draws: an element loop, not a copy
+		// (a runtime call) of a few bytes.
+		pos := b.tracePos[i]
+		for k := range dst {
+			dst[k] = t[pos+k]
+		}
+		b.tracePos[i] = pos + len(dst)
+		return
 	}
-	return n.jitter.Norm()
+	b.jitter[i].FillNorm(dst)
 }
 
 // JitterStream returns a fresh copy of node id's jitter stream under
@@ -350,35 +440,35 @@ func JitterTrace(runSeed uint64, id, draws int) []float64 {
 }
 
 // ID returns the node identifier.
-func (n *Node) ID() int { return n.id }
+func (n *Node) ID() int { return n.b.ids[n.i] }
 
 // RAPL exposes the node's power domain for cap control and monitoring.
-func (n *Node) RAPL() *rapl.Domain { return n.rapl }
+func (n *Node) RAPL() *rapl.Domain { return n.b.rapl.Domain(n.i) }
 
 // Model returns the node's performance-model constants.
-func (n *Node) Model() Model { return n.model }
+func (n *Node) Model() Model { return n.b.models[n.b.slots[n.i].model] }
 
 // Skew returns the node's static speed skew factor (1 = nominal).
-func (n *Node) Skew() float64 { return n.skew }
+func (n *Node) Skew() float64 { return n.b.slots[n.i].skew }
 
 // SetSlowFactor sets the node's transient excursion multiplier: phase
-// durations scale by f until it is set back to 1. It panics on
-// non-positive factors.
+// durations scale by f until it is set back to 1. It panics unless f is
+// positive and finite.
 func (n *Node) SetSlowFactor(f float64) {
-	if f <= 0 {
-		panic(fmt.Sprintf("machine: non-positive slow factor %g", f))
+	if !(f > 0) || math.IsInf(f, 1) {
+		panic(fmt.Sprintf("machine: slow factor %g is not positive and finite", f))
 	}
-	n.slowFactor = f
+	n.b.slots[n.i].slow = f
 }
 
 // SlowFactor returns the current excursion multiplier.
-func (n *Node) SlowFactor() float64 { return n.slowFactor }
+func (n *Node) SlowFactor() float64 { return n.b.slots[n.i].slow }
 
 // BusyTime returns cumulative time spent executing phases.
-func (n *Node) BusyTime() units.Seconds { return n.busy }
+func (n *Node) BusyTime() units.Seconds { return n.b.slots[n.i].busy }
 
 // IdleTime returns cumulative time spent waiting at synchronizations.
-func (n *Node) IdleTime() units.Seconds { return n.idle }
+func (n *Node) IdleTime() units.Seconds { return n.b.slots[n.i].idle }
 
 // Execution is the outcome of running a phase on a node.
 type Execution struct {
@@ -392,12 +482,12 @@ type Execution struct {
 
 // jitterSigma returns the noise magnitude for a phase execution given the
 // node's capping state.
-func (n *Node) jitterSigma(base float64, throttled, dualCap bool) float64 {
+func (m *Model) jitterSigma(base float64, throttled, dualCap bool) float64 {
 	s := base
 	if throttled {
-		s *= n.model.CapNoiseBoost
+		s *= m.CapNoiseBoost
 		if dualCap {
-			s *= n.model.DualCapNoiseBoost
+			s *= m.DualCapNoiseBoost
 		}
 	}
 	return s
@@ -407,11 +497,12 @@ func (n *Node) jitterSigma(base float64, throttled, dualCap bool) float64 {
 // domain, and returns the realized duration and power. noise may be zero
 // for deterministic runs.
 func (n *Node) Run(ph Phase, noise NoiseModel) Execution {
-	ph = n.model.adapt(ph)
-	if err := ph.Validate(n.model); err != nil {
+	m := n.Model()
+	ph = m.adapt(ph)
+	if err := ph.Validate(m); err != nil {
 		panic(err)
 	}
-	return n.runAdapted(&ph, &noise)
+	return n.RunAdapted(&ph, &noise)
 }
 
 // ValidatePhase checks a phase against this device exactly as Run
@@ -425,62 +516,114 @@ func (m Model) ValidatePhase(ph Phase) error { return m.adapt(ph).Validate(m) }
 // drivers can pre-adapt immutable phase tables once per job.
 func (m Model) Adapt(ph Phase) Phase { return m.adapt(ph) }
 
-// RunAdapted executes a phase that was already adapted by — and
-// validated against — this node's model (via Adapt/ValidatePhase). It
-// is byte-identical to Run on the unadapted phase; the cosim episode
-// loop uses it with pre-adapted tables so neither the adaptation, the
-// validation nor the phase and noise-model copies are paid per
-// execution. The phase and noise model are read, never retained.
-func (n *Node) RunAdapted(ph *Phase, noise *NoiseModel) Execution {
-	return n.runAdapted(ph, noise)
+// Draws returns how many standard-normal draws executing ph consumes
+// under noise: one for the duration jitter plus one for the power-
+// reading ripple when noise.PowerSigma is active, and none for a phase
+// of zero nominal time (it returns without executing).
+func Draws(ph *Phase, noise *NoiseModel) int {
+	switch {
+	case ph.Nominal == 0:
+		return 0
+	case noise.PowerSigma > 0:
+		return 2
+	}
+	return 1
 }
 
-// runAdapted executes an already device-adapted phase.
-func (n *Node) runAdapted(ph *Phase, noise *NoiseModel) Execution {
-	if ph.Nominal == 0 {
-		return Execution{}
-	}
-	allowed, dual := n.rapl.Grant(ph.Demand)
-	drawn := ph.Demand
-	if drawn > allowed {
-		drawn = allowed
-	}
-	throttled := allowed < ph.Demand
+// RunAdapted executes a phase that was already adapted by — and
+// validated against — this node's model (via Adapt/ValidatePhase). It
+// is byte-identical to Run on the unadapted phase, and to the same
+// phase executed through Bank.RunInterval with the node's next draws.
+// The phase and noise model are read, never retained.
+func (n *Node) RunAdapted(ph *Phase, noise *NoiseModel) Execution {
+	var buf [2]float64
+	norms := buf[:Draws(ph, noise)]
+	n.b.NextNoise(n.i, norms)
+	_, ex := n.b.RunInterval(n.i, unsafe.Slice(ph, 1), noise, norms)
+	return ex
+}
 
-	// Reference performance is at the phase's own unconstrained demand.
-	// The node's power-efficiency skew shifts how much performance the
-	// drawn power actually buys. adapt caches the reference point in
-	// the phase; a zero cache (possible only when the model's floor
-	// puts the reference at exactly 0) recomputes the same value.
-	refPerf := ph.refPerf
-	if refPerf == 0 {
-		refPerf = n.model.perf(ph.Demand, ph.Saturation)
-	}
-	curPerf := n.model.perf(units.Watts(float64(drawn)*n.powerEff), ph.Saturation)
-	slowdown := 1 - ph.Sensitivity + ph.Sensitivity*refPerf/curPerf
-
-	d := float64(ph.Nominal) * slowdown * n.skew * n.runSkew
-	if n.slowFactor > 0 {
-		d *= n.slowFactor
-	}
-	if throttled && dual {
-		d *= n.dualRunSkew
-	}
-	d *= rng.JitterFrom(n.nextNorm(), n.jitterSigma(noise.JitterSigma, throttled, dual))
-
-	// Power-reading ripple: the realized average power of the phase
-	// fluctuates around the regulated level.
-	if noise.PowerSigma > 0 {
-		drawn = units.Watts(float64(drawn) * rng.JitterFrom(n.nextNorm(), noise.PowerSigma))
-		if tdp := n.rapl.TDP(); drawn > tdp {
-			drawn = tdp
+// RunInterval executes phs back to back on node i and returns their
+// summed duration and the last phase's outcome (the zero Execution for
+// a phase of zero nominal time). It is the one implementation of the
+// phase execution model: grant, drawn power, performance at that
+// power, slowdown, skews and slow factor, jitter, power ripple, then
+// the RAPL advance. norms supplies the standard-normal draws in
+// execution order — Draws of them per phase — so a driver can hand
+// each node its slice of a recorded interval block directly. The
+// node's per-slot constants are loaded once per call, and its busy
+// time is accumulated phase by phase exactly as one RunAdapted call
+// per phase would.
+func (b *Bank) RunInterval(i int, phs []Phase, noise *NoiseModel, norms []float64) (t units.Seconds, last Execution) {
+	d := b.rapl.Domain(i)
+	s := &b.slots[i]
+	m := &b.models[s.model]
+	tdp := d.TDP()
+	skew, runSkew, powerEff := s.skew, s.runSkew, s.powerEff
+	slow, dualRunSkew := s.slow, s.dualRunSkew
+	busy := s.busy
+	instrumented := d.Instrumented()
+	u := 0
+	for j := range phs {
+		ph := &phs[j]
+		if ph.Nominal == 0 {
+			last = Execution{}
+			continue
 		}
-	}
+		var allowed units.Watts
+		var dual bool
+		if instrumented {
+			allowed, dual = d.Grant(ph.Demand)
+		} else {
+			allowed, dual = d.Clip(ph.Demand)
+		}
+		drawn := ph.Demand
+		if drawn > allowed {
+			drawn = allowed
+		}
+		throttled := allowed < ph.Demand
 
-	dur := units.Seconds(d)
-	n.rapl.Advance(dur, drawn)
-	n.busy += dur
-	return Execution{Duration: dur, Power: drawn, Throttled: throttled}
+		// Reference performance is at the phase's own unconstrained
+		// demand. The node's power-efficiency skew shifts how much
+		// performance the drawn power actually buys. adapt caches the
+		// reference point in the phase; a zero cache (possible only when
+		// the model's floor puts the reference at exactly 0) recomputes
+		// the same value.
+		refPerf := ph.refPerf
+		if refPerf == 0 {
+			refPerf = m.perf(ph.Demand, ph.Saturation)
+		}
+		curPerf := m.perf(units.Watts(float64(drawn)*powerEff), ph.Saturation)
+		slowdown := 1 - ph.Sensitivity + ph.Sensitivity*refPerf/curPerf
+
+		dd := float64(ph.Nominal) * slowdown * skew * runSkew
+		dd *= slow
+		if throttled && dual {
+			dd *= dualRunSkew
+		}
+		dd *= rng.JitterFrom(norms[u], m.jitterSigma(noise.JitterSigma, throttled, dual))
+		u++
+
+		// Power-reading ripple: the realized average power of the phase
+		// fluctuates around the regulated level.
+		if noise.PowerSigma > 0 {
+			drawn = units.Watts(float64(drawn) * rng.JitterFrom(norms[u], noise.PowerSigma))
+			u++
+			if drawn > tdp {
+				drawn = tdp
+			}
+		}
+
+		dur := units.Seconds(dd)
+		if !d.TryAdvance(dur, drawn) {
+			d.Advance(dur, drawn)
+		}
+		busy += dur
+		t += dur
+		last = Execution{Duration: dur, Power: drawn, Throttled: throttled}
+	}
+	s.busy = busy
+	return t, last
 }
 
 // Idle advances the node through d seconds of synchronization wait,
@@ -492,12 +635,23 @@ func (n *Node) Idle(d units.Seconds) Execution {
 	if d == 0 {
 		return Execution{}
 	}
-	p := n.rapl.SustainedAllowed(n.model.IdlePower)
-	if p > n.model.IdlePower {
-		p = n.model.IdlePower
+	b, i := n.b, n.i
+	dom := b.rapl.Domain(i)
+	s := &b.slots[i]
+	idle := b.models[s.model].IdlePower
+	var p units.Watts
+	if dom.Instrumented() {
+		p = dom.SustainedAllowed(idle)
+	} else {
+		p, _ = dom.Clip(idle)
 	}
-	n.rapl.Advance(d, p)
-	n.idle += d
+	if p > idle {
+		p = idle
+	}
+	if !dom.TryAdvance(d, p) {
+		dom.Advance(d, p)
+	}
+	s.idle += d
 	return Execution{Duration: d, Power: p}
 }
 
@@ -506,15 +660,16 @@ func (n *Node) Idle(d units.Seconds) Execution {
 // call this (they are strictly online); it exists for tests and for
 // computing oracle/optimal references in the experiment harness.
 func (n *Node) PredictDuration(ph Phase, allowed units.Watts) units.Seconds {
-	ph = n.model.adapt(ph)
+	m := n.Model()
+	ph = m.adapt(ph)
 	drawn := ph.Demand
 	if drawn > allowed {
 		drawn = allowed
 	}
-	refPerf := n.model.perf(ph.Demand, ph.Saturation)
-	curPerf := n.model.perf(drawn, ph.Saturation)
+	refPerf := m.perf(ph.Demand, ph.Saturation)
+	curPerf := m.perf(drawn, ph.Saturation)
 	slowdown := 1 - ph.Sensitivity + ph.Sensitivity*refPerf/curPerf
-	return units.Seconds(float64(ph.Nominal) * slowdown * n.skew)
+	return units.Seconds(float64(ph.Nominal) * slowdown * n.Skew())
 }
 
 // EstimatedFrequency maps a phase's performance factor at the given
@@ -526,7 +681,8 @@ func (n *Node) EstimatedFrequency(ph Phase, power units.Watts) float64 {
 		baseGHz  = 1.3
 		turboGHz = 1.5
 	)
-	ph = n.model.adapt(ph)
-	f := n.model.perf(units.Watts(float64(power)*n.powerEff), ph.Saturation)
+	m := n.Model()
+	ph = m.adapt(ph)
+	f := m.perf(units.Watts(float64(power)*n.b.slots[n.i].powerEff), ph.Saturation)
 	return baseGHz*f + (turboGHz-baseGHz)*f*f
 }

@@ -300,3 +300,20 @@ func TestSetSlowFactorPanicsOnNonPositive(t *testing.T) {
 		}()
 	}
 }
+
+func TestSetSlowFactorPanicsOnNonFinite(t *testing.T) {
+	n := quietNode(t, 0)
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetSlowFactor(%g) did not panic", f)
+				}
+			}()
+			n.SetSlowFactor(f)
+		}()
+	}
+	if got := n.SlowFactor(); got != 1 {
+		t.Errorf("rejected factors changed the slow factor to %g", got)
+	}
+}

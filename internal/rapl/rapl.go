@@ -19,11 +19,15 @@
 //
 // Time is virtual: callers advance the domain explicitly with the power
 // actually drawn, exactly as the machine model integrates phase execution.
+//
+// A job's domains live in one Bank of flat per-slot records; a Domain
+// is a view onto one slot (NewDomain builds a one-slot bank).
 package rapl
 
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"seesaw/internal/telemetry"
 	"seesaw/internal/units"
@@ -97,32 +101,69 @@ type pendingCap struct {
 	shortCap bool
 }
 
-// Domain simulates one RAPL package power domain.
-type Domain struct {
-	cfg Config
+// Bank is the flat state of a population of RAPL domains: one per-job
+// slice of compact per-slot records holds everything the execution
+// path touches (clock, energy, effective caps, the earliest pending
+// write), so a driver sweeping the domains in slot order streams
+// through one contiguous array instead of chasing one heap object per
+// domain; the rarely touched state (pending writes, windows, telemetry)
+// sits in side slices. A Domain is a view onto one slot; every rule
+// (pending-write activation, clamping, the enforcement window) is
+// implemented once, on the slot, and the views only forward to it.
+type Bank struct {
+	// cfgs holds the distinct configurations in the bank: a population
+	// shares a handful of device classes.
+	cfgs  []Config
+	slots []slot
 
+	pending   [][]pendingCap
+	capWrites []int
+
+	// win holds the slots' moving-average windows, one per slot; nil
+	// until some slot keeps one (see slot.windowed).
+	win []window
+
+	// Telemetry hooks (nil-safe, attached via Domain.SetTelemetry). A
+	// site holds the slot's pre-resolved metric children so the
+	// per-write hot path never pays a family label lookup.
+	site      []*telemetry.CapSite
+	telName   []string
+	throttled []bool
+	violating []bool
+
+	doms []Domain
+}
+
+// slot is one domain's hot state: one cache line.
+type slot struct {
 	now    units.Seconds
 	energy units.Joules
+	long   units.Watts // 0 means uncapped
+	short  units.Watts // 0 means unset
+	// target is the level the sustained rule regulates to under the
+	// effective caps (see regTarget). due is the clock value from which
+	// an advance must take the checked path: the activation time of the
+	// earliest pending write (+Inf when none), or -Inf on a windowed
+	// slot, whose every advance folds the window. Pending writes are
+	// activated as soon as they fall due, so the effective caps are
+	// always current and reads never consult the queue.
+	target units.Watts
+	due    units.Seconds
+	tdp    units.Watts
+	cfg    int32
+	// windowed marks a slot that keeps the long-term moving-average
+	// window: not declared SustainedOnly, or carrying a telemetry site
+	// (violation reporting reads the window). sited marks a site.
+	windowed bool
+	sited    bool
+}
 
-	longCap  units.Watts // 0 means uncapped
-	shortCap units.Watts // 0 means unset
-
-	pending []pendingCap
-
-	// moving-average window bookkeeping for long-term enforcement.
-	window    []sample
-	windowJ   units.Joules
-	windowLen units.Seconds
-
-	capWrites int
-
-	// Telemetry hooks (nil-safe, attached via SetTelemetry). site holds
-	// the node's pre-resolved metric children so the per-write hot path
-	// never pays a family label lookup.
-	site      *telemetry.CapSite
-	telName   string
-	throttled bool
-	violating bool
+// window is one slot's moving-average bookkeeping for long-term
+// enforcement.
+type window struct {
+	samples []sample
+	j       units.Joules
+	len     units.Seconds
 }
 
 type sample struct {
@@ -130,15 +171,107 @@ type sample struct {
 	p  units.Watts
 }
 
-// NewDomain returns a fresh domain at virtual time 0 with no caps set.
-func NewDomain(cfg Config) (*Domain, error) {
+// Domain simulates one RAPL package power domain. It is a view onto
+// one slot of a Bank: domains built by NewDomain own a one-slot bank.
+type Domain struct {
+	b *Bank
+	s *slot // &b.slots[i]: a bank never grows past its capacity
+	i int
+}
+
+// NewBank returns an empty bank with room for n domains; a bank holds
+// at most n.
+func NewBank(n int) *Bank {
+	return &Bank{
+		slots:     make([]slot, 0, n),
+		pending:   make([][]pendingCap, 0, n),
+		capWrites: make([]int, 0, n),
+		site:      make([]*telemetry.CapSite, 0, n),
+		telName:   make([]string, 0, n),
+		throttled: make([]bool, 0, n),
+		violating: make([]bool, 0, n),
+		doms:      make([]Domain, 0, n),
+	}
+}
+
+// Add appends a fresh domain (virtual time 0, no caps set) to the bank
+// and returns its view.
+func (b *Bank) Add(cfg Config) (*Domain, error) {
 	if cfg.MinCap <= 0 || cfg.TDP <= cfg.MinCap {
 		return nil, fmt.Errorf("rapl: invalid cap range [%v, %v]", cfg.MinCap, cfg.TDP)
 	}
 	if cfg.LongWindow <= 0 {
 		return nil, fmt.Errorf("rapl: long window must be positive, got %v", cfg.LongWindow)
 	}
-	return &Domain{cfg: cfg}, nil
+	ci := -1
+	for k := range b.cfgs {
+		if b.cfgs[k] == cfg {
+			ci = k
+			break
+		}
+	}
+	if ci < 0 {
+		ci = len(b.cfgs)
+		b.cfgs = append(b.cfgs, cfg)
+	}
+	i := len(b.doms)
+	if i == cap(b.slots) {
+		return nil, fmt.Errorf("rapl: bank full at %d domains", i)
+	}
+	b.slots = append(b.slots, slot{tdp: cfg.TDP, cfg: int32(ci)})
+	b.pending = append(b.pending, nil)
+	b.capWrites = append(b.capWrites, 0)
+	b.site = append(b.site, nil)
+	b.telName = append(b.telName, "")
+	b.throttled = append(b.throttled, false)
+	b.violating = append(b.violating, false)
+	b.doms = append(b.doms, Domain{b: b, s: &b.slots[i], i: i})
+	if b.win != nil {
+		b.win = append(b.win, window{})
+	}
+	b.setWindowed(i)
+	return &b.doms[i], nil
+}
+
+// Domain returns slot i's view.
+func (b *Bank) Domain(i int) *Domain { return &b.doms[i] }
+
+// Reset returns every domain to its just-constructed state; see
+// Domain.Reset.
+func (b *Bank) Reset() {
+	for i := range b.doms {
+		b.reset(i)
+	}
+}
+
+// setWindowed re-derives whether slot i keeps its window, allocating
+// the bank's windows on first need.
+func (b *Bank) setWindowed(i int) {
+	s := &b.slots[i]
+	s.sited = b.site[i] != nil
+	s.windowed = !b.cfgs[s.cfg].SustainedOnly || s.sited
+	if s.windowed && b.win == nil {
+		b.win = make([]window, len(b.doms))
+	}
+	b.setDue(i)
+}
+
+// setDue re-derives slot i's due time from its pending writes.
+func (b *Bank) setDue(i int) {
+	s := &b.slots[i]
+	if s.windowed {
+		s.due = units.Seconds(math.Inf(-1))
+		return
+	}
+	s.due = noneDue
+	for _, p := range b.pending[i] {
+		s.due = min(s.due, p.applyAt)
+	}
+}
+
+// NewDomain returns a fresh domain at virtual time 0 with no caps set.
+func NewDomain(cfg Config) (*Domain, error) {
+	return NewBank(1).Add(cfg)
 }
 
 // MustNewDomain is NewDomain that panics on configuration errors; used
@@ -151,12 +284,15 @@ func MustNewDomain(cfg Config) *Domain {
 	return d
 }
 
+// cfg returns slot i's configuration.
+func (b *Bank) cfg(i int) *Config { return &b.cfgs[b.slots[i].cfg] }
+
 // Config returns the domain's hardware configuration.
-func (d *Domain) Config() Config { return d.cfg }
+func (d *Domain) Config() Config { return *d.b.cfg(d.i) }
 
 // TDP returns the domain's thermal design power without copying the
 // whole configuration — the execution model reads it per phase.
-func (d *Domain) TDP() units.Watts { return d.cfg.TDP }
+func (d *Domain) TDP() units.Watts { return d.s.tdp }
 
 // SetTelemetry attaches a telemetry hub: cap writes, throttle
 // engagements and enforcement-window violations are reported under the
@@ -165,116 +301,125 @@ func (d *Domain) TDP() units.Watts { return d.cfg.TDP }
 // event stream to one representative node per partition. A nil hub
 // detaches.
 func (d *Domain) SetTelemetry(h *telemetry.Hub, name string, eventful bool) {
-	d.site = h.CapSiteFor(name, eventful)
-	d.telName = name
+	d.b.site[d.i] = h.CapSiteFor(name, eventful)
+	d.b.telName[d.i] = name
+	d.b.setWindowed(d.i)
 }
 
 // Now returns the domain's current virtual time.
-func (d *Domain) Now() units.Seconds { return d.now }
+func (d *Domain) Now() units.Seconds { return d.s.now }
 
 // Energy returns the cumulative energy counter, analogous to the
 // MSR_PKG_ENERGY_STATUS register.
-func (d *Domain) Energy() units.Joules { return d.energy }
+func (d *Domain) Energy() units.Joules { return d.s.energy }
 
 // CapWrites returns how many cap write operations were issued; the
 // experiment harness uses it to account for actuation overhead.
-func (d *Domain) CapWrites() int { return d.capWrites }
+func (d *Domain) CapWrites() int { return d.b.capWrites[d.i] }
 
 // SetLongCap requests a new long-term power cap. The request is clamped
 // to the supported range and takes effect after the actuation latency.
 // A zero cap removes the limit.
-func (d *Domain) SetLongCap(w units.Watts) {
-	d.capWrites++
-	if w != 0 {
-		w = units.ClampWatts(w, d.cfg.MinCap, d.cfg.TDP)
-	}
-	d.pending = append(d.pending, pendingCap{value: w, applyAt: d.now + d.cfg.ActuationLatency})
-	if d.site != nil {
-		d.site.CapWritten(float64(d.now), d.telName, float64(w), false)
-	}
-}
+func (d *Domain) SetLongCap(w units.Watts) { d.b.setCap(d.i, w, false) }
 
 // SetShortCap requests a new short-term power cap with the same clamping
 // and latency semantics as SetLongCap. A zero cap removes the limit.
-func (d *Domain) SetShortCap(w units.Watts) {
-	d.capWrites++
+func (d *Domain) SetShortCap(w units.Watts) { d.b.setCap(d.i, w, true) }
+
+// setCap queues a clamped cap write on slot i.
+func (b *Bank) setCap(i int, w units.Watts, short bool) {
+	b.capWrites[i]++
+	s := &b.slots[i]
+	c := &b.cfgs[s.cfg]
 	if w != 0 {
-		w = units.ClampWatts(w, d.cfg.MinCap, d.cfg.TDP)
+		w = units.ClampWatts(w, c.MinCap, c.TDP)
 	}
-	d.pending = append(d.pending, pendingCap{value: w, applyAt: d.now + d.cfg.ActuationLatency, shortCap: true})
-	if d.site != nil {
-		d.site.CapWritten(float64(d.now), d.telName, float64(w), true)
+	at := s.now + c.ActuationLatency
+	b.pending[i] = append(b.pending[i], pendingCap{value: w, applyAt: at, shortCap: short})
+	if at <= s.now {
+		b.applyPending(i)
+	} else if !s.windowed {
+		s.due = min(s.due, at)
+	}
+	if s.sited {
+		b.site[i].CapWritten(float64(s.now), b.telName[i], float64(w), short)
 	}
 }
 
 // LongCap returns the currently effective long-term cap (0 if uncapped).
-func (d *Domain) LongCap() units.Watts {
-	d.applyPending()
-	return d.longCap
-}
+func (d *Domain) LongCap() units.Watts { return d.s.long }
 
 // ShortCap returns the currently effective short-term cap (0 if unset).
-func (d *Domain) ShortCap() units.Watts {
-	d.applyPending()
-	return d.shortCap
-}
+func (d *Domain) ShortCap() units.Watts { return d.s.short }
 
-// applyPending activates cap writes whose latency has elapsed.
-func (d *Domain) applyPending() {
-	if len(d.pending) == 0 {
+// applyPending activates slot i's cap writes whose latency has elapsed
+// (in write order, so the last due write of each cap type wins).
+func (b *Bank) applyPending(i int) {
+	pend := b.pending[i]
+	if len(pend) == 0 {
 		return
 	}
-	remaining := d.pending[:0]
-	for _, p := range d.pending {
-		if p.applyAt <= d.now {
+	s := &b.slots[i]
+	remaining := pend[:0]
+	due := noneDue
+	for _, p := range pend {
+		if p.applyAt <= s.now {
 			if p.shortCap {
-				d.shortCap = p.value
+				s.short = p.value
 			} else {
-				d.longCap = p.value
+				s.long = p.value
 			}
 		} else {
 			remaining = append(remaining, p)
+			due = min(due, p.applyAt)
 		}
 	}
-	d.pending = remaining
+	b.pending[i] = remaining
+	s.target = regTarget(s.long, s.short, b.cfgs[s.cfg].DualCapMargin)
+	if !s.windowed {
+		s.due = due
+	}
 }
 
-// effectiveTarget returns the power level RAPL regulates to under the
-// current caps (the long cap, lowered by the dual-cap margin when a
-// short cap is also set), or 0 when uncapped.
-func (d *Domain) effectiveTarget() units.Watts {
-	if d.longCap <= 0 {
+// noneDue is the due time of a slot with no pending write.
+var noneDue = units.Seconds(math.Inf(1))
+
+// regTarget is the power level RAPL regulates to under a long cap lc
+// and a short cap sc: the long cap, lowered by the dual-cap margin when
+// a short cap is also set (0 when uncapped).
+func regTarget(lc, sc units.Watts, margin float64) units.Watts {
+	if lc <= 0 {
 		return 0
 	}
-	target := d.longCap
-	if d.shortCap > 0 {
-		target = units.Watts(float64(target) * (1 - d.cfg.DualCapMargin))
+	if sc > 0 {
+		return units.Watts(float64(lc) * (1 - margin))
 	}
-	return target
+	return lc
 }
 
 // noteThrottle reports engage transitions of demand clipping to the
 // telemetry hub (disengagement resets the state silently).
-func (d *Domain) noteThrottle(demand, allowed units.Watts) {
-	if d.site == nil {
+func (b *Bank) noteThrottle(i int, demand, allowed units.Watts) {
+	s := b.site[i]
+	if s == nil {
 		return
 	}
 	if allowed < demand {
-		if !d.throttled {
-			d.throttled = true
-			d.site.ThrottleEngaged(float64(d.now), d.telName, float64(demand), float64(allowed))
+		if !b.throttled[i] {
+			b.throttled[i] = true
+			s.ThrottleEngaged(float64(b.slots[i].now), b.telName[i], float64(demand), float64(allowed))
 		}
 	} else {
-		d.throttled = false
+		b.throttled[i] = false
 	}
 }
 
-// windowAvg returns the average power over the long-term window.
-func (d *Domain) windowAvg() units.Watts {
-	if d.windowLen <= 0 {
+// windowAvg returns slot i's average power over the long-term window.
+func (b *Bank) windowAvg(i int) units.Watts {
+	if b.win == nil || b.win[i].len <= 0 {
 		return 0
 	}
-	return units.AvgPower(d.windowJ, d.windowLen)
+	return units.AvgPower(b.win[i].j, b.win[i].len)
 }
 
 // Allowed returns the power the domain permits a workload demanding
@@ -287,41 +432,38 @@ func (d *Domain) windowAvg() units.Watts {
 //   - a short cap bounds instantaneous draw directly;
 //   - with both caps set, regulation targets cap*(1-DualCapMargin).
 func (d *Domain) Allowed(demand units.Watts) units.Watts {
-	d.applyPending()
+	b, i := d.b, d.i
+	s := &b.slots[i]
 	allowed := demand
-	if allowed > d.cfg.TDP {
-		allowed = d.cfg.TDP
+	if allowed > s.tdp {
+		allowed = s.tdp
 	}
-	if d.longCap > 0 {
-		target := d.longCap
-		if d.shortCap > 0 {
-			target = units.Watts(float64(target) * (1 - d.cfg.DualCapMargin))
-		}
-		if d.windowAvg() >= target {
+	if s.long > 0 {
+		if b.windowAvg(i) >= s.target {
 			// Window saturated: regulate to the target.
-			if allowed > target {
-				allowed = target
+			if allowed > s.target {
+				allowed = s.target
 			}
 		} else {
 			// Transient headroom: permit short excursions bounded by
 			// the short cap (or TDP if none).
-			limit := d.cfg.TDP
-			if d.shortCap > 0 {
-				limit = units.Watts(float64(d.shortCap) * (1 - d.cfg.DualCapMargin))
+			limit := s.tdp
+			if s.short > 0 {
+				limit = units.Watts(float64(s.short) * (1 - b.cfgs[s.cfg].DualCapMargin))
 			}
 			if allowed > limit {
 				allowed = limit
 			}
 		}
-	} else if d.shortCap > 0 {
-		if allowed > d.shortCap {
-			allowed = d.shortCap
+	} else if s.short > 0 {
+		if allowed > s.short {
+			allowed = s.short
 		}
 	}
 	if allowed < 0 {
 		allowed = 0
 	}
-	d.noteThrottle(demand, allowed)
+	b.noteThrottle(i, demand, allowed)
 	return allowed
 }
 
@@ -332,134 +474,145 @@ func (d *Domain) Allowed(demand units.Watts) units.Watts {
 // machine model uses this for phase execution; Allowed models the
 // instantaneous (window-dependent) behaviour.
 func (d *Domain) SustainedAllowed(demand units.Watts) units.Watts {
-	d.applyPending()
-	allowed := demand
-	if allowed > d.cfg.TDP {
-		allowed = d.cfg.TDP
-	}
-	if d.longCap > 0 {
-		target := d.longCap
-		if d.shortCap > 0 {
-			target = units.Watts(float64(target) * (1 - d.cfg.DualCapMargin))
-		}
-		if allowed > target {
-			allowed = target
-		}
-	}
-	if d.shortCap > 0 && allowed > d.shortCap {
-		allowed = d.shortCap
-	}
-	if allowed < 0 {
-		allowed = 0
-	}
-	d.noteThrottle(demand, allowed)
+	allowed, _ := d.Grant(demand)
 	return allowed
 }
 
 // Grant is SustainedAllowed plus the dual-cap regulation flag in one
-// call: the phase execution model needs both per execution, and the
-// separate accessors each re-check the pending cap queue. The allowance
-// is computed exactly as SustainedAllowed computes it.
+// call: Clip, with throttle engagements reported to an attached
+// telemetry hub.
 func (d *Domain) Grant(demand units.Watts) (allowed units.Watts, dual bool) {
-	d.applyPending()
-	allowed = demand
-	if allowed > d.cfg.TDP {
-		allowed = d.cfg.TDP
-	}
-	if d.longCap > 0 {
-		target := d.longCap
-		if d.shortCap > 0 {
-			target = units.Watts(float64(target) * (1 - d.cfg.DualCapMargin))
-			dual = true
-		}
-		if allowed > target {
-			allowed = target
-		}
-	}
-	if d.shortCap > 0 && allowed > d.shortCap {
-		allowed = d.shortCap
-	}
-	if allowed < 0 {
-		allowed = 0
-	}
-	if d.site != nil {
-		// noteThrottle is a no-op without a site; guarding here keeps
-		// the call out of the uninstrumented hot path.
-		d.noteThrottle(demand, allowed)
+	allowed, dual = d.Clip(demand)
+	if d.s.sited {
+		d.b.noteThrottle(d.i, demand, allowed)
 	}
 	return allowed, dual
 }
 
+// Clip is the sustained enforcement rule: demand clipped to TDP, to the
+// regulation target of the long cap (dual-cap regulation when a short
+// cap is also set) and to the short cap. It reports nothing to
+// telemetry — Grant is Clip plus the throttle report — so an
+// uninstrumented execution path can use it inline (see Instrumented).
+func (d *Domain) Clip(demand units.Watts) (allowed units.Watts, dual bool) {
+	s := d.s
+	allowed = demand
+	if allowed > s.tdp {
+		allowed = s.tdp
+	}
+	if s.long > 0 {
+		dual = s.short > 0
+		if allowed > s.target {
+			allowed = s.target
+		}
+	}
+	if s.short > 0 && allowed > s.short {
+		allowed = s.short
+	}
+	if allowed < 0 {
+		allowed = 0
+	}
+	return allowed, dual
+}
+
+// Instrumented reports whether a telemetry hub is attached, i.e.
+// whether Grant reports anything beyond Clip.
+func (d *Domain) Instrumented() bool { return d.s.sited }
+
 // Advance moves virtual time forward by dt with the domain drawing p
 // Watts throughout, updating the energy counter and the enforcement
-// window. dt must be non-negative.
+// window, and activating the cap writes that fall due. dt must be
+// non-negative.
 func (d *Domain) Advance(dt units.Seconds, p units.Watts) {
+	if !d.TryAdvance(dt, p) {
+		d.b.advance(d.i, dt, p)
+	}
+}
+
+// TryAdvance is Advance's common case, small enough to inline into an
+// execution loop: a positive step that activates no pending write on a
+// domain that keeps no window only moves the clock and integrates the
+// energy. It reports false, changing nothing, when the step needs
+// Advance's checked path instead.
+func (d *Domain) TryAdvance(dt units.Seconds, p units.Watts) bool {
+	s := d.s
+	now := s.now + dt
+	if dt <= 0 || now >= s.due {
+		return false
+	}
+	s.now = now
+	s.energy += units.Energy(p, dt)
+	return true
+}
+
+// advance is Advance's checked path on slot i: a negative or zero
+// step, pending writes falling due, and the window fold of a slot that
+// keeps one.
+func (b *Bank) advance(i int, dt units.Seconds, p units.Watts) {
 	if dt < 0 {
 		panic("rapl: negative time advance")
 	}
 	if dt == 0 {
 		return
 	}
-	d.now += dt
-	d.energy += units.Energy(p, dt)
-	if d.cfg.SustainedOnly && d.site == nil {
-		// Nothing can observe the window: no transient queries by
-		// declaration, no violation telemetry without a site. Pending
-		// cap writes stay queued — every cap consumer applies them
-		// against the advanced clock before reading, so deferring the
-		// apply to the next read is indistinguishable.
-		return
+	s := &b.slots[i]
+	s.now += dt
+	s.energy += units.Energy(p, dt)
+	if len(b.pending[i]) > 0 {
+		b.applyPending(i)
 	}
-	d.advanceWindow(dt, p)
+	if s.windowed {
+		b.advanceWindow(i, dt, p)
+	}
 }
 
-// advanceWindow is Advance's slow half: the moving-average window fold
-// and the violation telemetry. Outlined so Advance itself stays within
-// the inlining budget for the sustained-only hot path.
-func (d *Domain) advanceWindow(dt units.Seconds, p units.Watts) {
-	d.applyPending()
+// advanceWindow folds an advance of slot i into its moving-average
+// window and reports window violations.
+func (b *Bank) advanceWindow(i int, dt units.Seconds, p units.Watts) {
 	e := units.Energy(p, dt)
+	long := b.cfg(i).LongWindow
 
 	// Fold the sample into the moving-average window and trim it back
 	// to LongWindow seconds. Consumed head samples are compacted with a
 	// single copy instead of resliced away: reslicing moves the slice
 	// start forward so the next append eventually reallocates, and that
 	// churn was the dominant allocation of whole co-simulated episodes.
-	d.window = append(d.window, sample{dt: dt, p: p})
-	d.windowJ += e
-	d.windowLen += dt
+	w := &b.win[i]
+	w.samples = append(w.samples, sample{dt: dt, p: p})
+	w.j += e
+	w.len += dt
 	drop := 0
-	for d.windowLen > d.cfg.LongWindow && drop < len(d.window) {
-		head := d.window[drop]
-		excess := d.windowLen - d.cfg.LongWindow
+	for w.len > long && drop < len(w.samples) {
+		head := w.samples[drop]
+		excess := w.len - long
 		if head.dt <= excess {
 			drop++
-			d.windowLen -= head.dt
-			d.windowJ -= units.Energy(head.p, head.dt)
+			w.len -= head.dt
+			w.j -= units.Energy(head.p, head.dt)
 		} else {
-			d.window[drop].dt -= excess
-			d.windowLen -= excess
-			d.windowJ -= units.Energy(head.p, excess)
+			w.samples[drop].dt -= excess
+			w.len -= excess
+			w.j -= units.Energy(head.p, excess)
 		}
 	}
 	if drop > 0 {
-		n := copy(d.window, d.window[drop:])
-		d.window = d.window[:n]
+		n := copy(w.samples, w.samples[drop:])
+		w.samples = w.samples[:n]
 	}
 
 	// Enforcement-window violation telemetry: the window average rising
 	// above the effective cap target (beyond a small tolerance) is
 	// reported once per excursion.
-	if d.site != nil {
-		if target := d.effectiveTarget(); target > 0 {
+	if s := b.site[i]; s != nil {
+		if target := b.slots[i].target; target > 0 {
 			const tolerance = 1.02
-			if avg := d.windowAvg(); float64(avg) > float64(target)*tolerance {
-				if !d.violating {
-					d.violating = true
-					d.site.BudgetViolation(float64(d.now), d.telName, float64(avg), float64(target))
+			if avg := b.windowAvg(i); float64(avg) > float64(target)*tolerance {
+				if !b.violating[i] {
+					b.violating[i] = true
+					s.BudgetViolation(float64(b.slots[i].now), b.telName[i], float64(avg), float64(target))
 				}
 			} else {
-				d.violating = false
+				b.violating[i] = false
 			}
 		}
 	}
@@ -467,7 +620,7 @@ func (d *Domain) advanceWindow(dt units.Seconds, p units.Watts) {
 
 // WindowAverage exposes the long-window average power, mainly for tests
 // and monitoring.
-func (d *Domain) WindowAverage() units.Watts { return d.windowAvg() }
+func (d *Domain) WindowAverage() units.Watts { return d.b.windowAvg(d.i) }
 
 // Reset returns the domain to its just-constructed state — virtual time
 // zero, zero energy, no caps, empty enforcement window — while keeping
@@ -475,12 +628,21 @@ func (d *Domain) WindowAverage() units.Watts { return d.windowAvg() }
 // so pooled episodes reuse one Domain without reallocating its window
 // or pending-write storage. A reset domain is indistinguishable from
 // NewDomain's result in every observable.
-func (d *Domain) Reset() {
-	d.now, d.energy = 0, 0
-	d.longCap, d.shortCap = 0, 0
-	d.pending = d.pending[:0]
-	d.window = d.window[:0]
-	d.windowJ, d.windowLen = 0, 0
-	d.capWrites = 0
-	d.throttled, d.violating = false, false
+func (d *Domain) Reset() { d.b.reset(d.i) }
+
+// reset is Reset on slot i.
+func (b *Bank) reset(i int) {
+	s := &b.slots[i]
+	s.now, s.energy = 0, 0
+	s.long, s.short = 0, 0
+	s.target = 0
+	b.pending[i] = b.pending[i][:0]
+	b.setDue(i)
+	if b.win != nil {
+		w := &b.win[i]
+		w.samples = w.samples[:0]
+		w.j, w.len = 0, 0
+	}
+	b.capWrites[i] = 0
+	b.throttled[i], b.violating[i] = false, false
 }

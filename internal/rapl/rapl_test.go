@@ -227,3 +227,40 @@ func mod(x, m float64) float64 {
 	}
 	return v
 }
+
+// TestBankMixedWindows pins a bank whose slots differ in whether they
+// keep the enforcement window: every slot's window queries, advances and
+// resets work whichever slot allocated the windows first.
+func TestBankMixedWindows(t *testing.T) {
+	sustained := Theta()
+	sustained.SustainedOnly = true
+	b := NewBank(3)
+	var doms []*Domain
+	for _, cfg := range []Config{sustained, Theta(), sustained} {
+		d, err := b.Add(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doms = append(doms, d)
+	}
+	for _, d := range doms {
+		d.SetLongCap(120)
+		d.Advance(0.5, 150)
+		d.Advance(0.5, 100)
+	}
+	if got := doms[1].WindowAverage(); got != 125 {
+		t.Errorf("windowed slot average = %v, want 125", got)
+	}
+	if got := doms[2].WindowAverage(); got != 0 {
+		t.Errorf("sustained-only slot average = %v, want 0 (no window kept)", got)
+	}
+	if doms[0].LongCap() != 120 || doms[2].LongCap() != 120 {
+		t.Errorf("due cap writes not active: %v, %v", doms[0].LongCap(), doms[2].LongCap())
+	}
+	b.Reset()
+	for i, d := range doms {
+		if d.Now() != 0 || d.Energy() != 0 || d.LongCap() != 0 || d.WindowAverage() != 0 {
+			t.Errorf("slot %d not reset", i)
+		}
+	}
+}

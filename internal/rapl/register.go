@@ -24,7 +24,7 @@ const registerMask = (1 << 32) - 1
 // wrapping on overflow. At 110 W the register wraps roughly every
 // (2^32 * 61 uJ) / 110 W ~ 40 minutes.
 func (d *Domain) EnergyRegister() uint32 {
-	counts := uint64(math.Floor(float64(d.energy) / EnergyUnit))
+	counts := uint64(math.Floor(float64(d.Energy()) / EnergyUnit))
 	return uint32(counts & registerMask)
 }
 

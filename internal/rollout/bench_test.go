@@ -36,7 +36,7 @@ func benchSpec(nodes int) Spec {
 // budgets/policies replays one job). The goldens pin this path's bytes
 // and TestRolloutAllocs its per-episode allocations.
 func BenchmarkRollouts(b *testing.B) {
-	for _, nodes := range []int{256, 1024, 4096} {
+	for _, nodes := range []int{256, 1024, 4096, 16384} {
 		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
 			spec := benchSpec(nodes)
 			cons := spec.constraints(nodes)

@@ -45,7 +45,9 @@ type Config struct {
 	// domains (see Topology.ScaleCaps).
 	Constraints core.Constraints
 	// InitialCaps optionally sets per-node initial caps by stage name;
-	// stages without an entry start at the even split of the budget.
+	// stages without an entry start at the even split of the budget
+	// (raised to a node's device-class floor where the even share falls
+	// below it; see core.FloorSplit).
 	InitialCaps map[string]units.Watts
 	// ShortTermCap additionally installs short-term RAPL caps.
 	ShortTermCap bool
@@ -110,12 +112,13 @@ func (c *Config) normalize(plan *Plan) error {
 	return c.Constraints.Validate(plan.NWorld)
 }
 
-// initialCap resolves one stage's initial per-node cap.
-func (c *Config) initialCap(stage string, even units.Watts) units.Watts {
+// initialCap resolves one stage's initial per-node cap: the stage's
+// entry in InitialCaps, else the node's default split share.
+func (c *Config) initialCap(stage string, split units.Watts) units.Watts {
 	if w, ok := c.InitialCaps[stage]; ok && w > 0 {
 		return w
 	}
-	return even
+	return split
 }
 
 // Result summarizes one workflow run.
@@ -257,8 +260,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	schedule := cfg.SyncSteps
-	even := core.EvenSplit(cfg.Constraints, plan.NWorld)
-
 	cl, err := cluster.New(cluster.Config{
 		SimNodes:      plan.SimNodes,
 		AnaNodes:      plan.AnaNodes,
@@ -276,6 +277,11 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := cl.ValidateBudget(cfg.Constraints); err != nil {
+		return nil, err
+	}
+	initial := make([]units.Watts, plan.NWorld)
+	cl.InitialCaps(cfg.Constraints, initial)
 
 	res := &Result{
 		SyncLog:   &trace.SyncLog{},
@@ -301,7 +307,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		mgr, err := polimer.Init(r, role, node, polimer.Options{
 			Policy:       cfg.Policy,
 			Constraints:  cfg.Constraints,
-			InitialCap:   cfg.initialCap(st.Name, even),
+			InitialCap:   cfg.initialCap(st.Name, initial[r.WorldRank()]),
 			ShortTermCap: cfg.ShortTermCap,
 			Telemetry:    cfg.Telemetry,
 			Health:       func() core.Health { return cl.Health(r.WorldRank()) },
