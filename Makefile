@@ -41,13 +41,18 @@ race:
 
 # fuzz-smoke runs each fuzz target briefly beyond its seed corpus:
 # every generated event must encode byte-identically to the
-# encoding/json oracle and decode back, and the fault-plan and
-# class-map parsers must reject bad text with an error (never a panic)
-# and round-trip every plan or map they accept through String.
+# encoding/json oracle and decode back; any line must decode to an
+# event that round-trips the same way, or fail with an error; the
+# fault-plan and class-map parsers must reject bad text with an error
+# (never a panic) and round-trip every plan or map they accept through
+# String; and any job file must load, build and build its workflow to
+# a value or an error, never a panic.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzEncode$$' -fuzztime 10s ./internal/telemetry/
+	$(GO) test -run xxx -fuzz '^FuzzDecode$$' -fuzztime 5s ./internal/telemetry/
 	$(GO) test -run xxx -fuzz '^FuzzFaultParse$$' -fuzztime 5s ./internal/fault/
 	$(GO) test -run xxx -fuzz '^FuzzParseClassMap$$' -fuzztime 5s ./internal/machine/
+	$(GO) test -run xxx -fuzz '^FuzzJobfileLoad$$' -fuzztime 5s ./internal/jobfile/
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .

@@ -51,7 +51,7 @@ func TestReportByteIdenticalAcrossJobs(t *testing.T) {
 // with the scheduler-parallelism axis: the report rendered with jobs∈{1,8}
 // under GOMAXPROCS∈{1,8} must produce one identical byte stream. True
 // parallelism changes which rank goroutines run simultaneously — striped
-// telemetry cells, amortized Split completion and memoized analysis
+// telemetry cells, the sharded rendezvous and memoized analysis
 // replay must all stay invisible to the output.
 func TestReportByteIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	if testing.Short() {

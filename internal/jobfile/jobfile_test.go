@@ -1,6 +1,7 @@
 package jobfile
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -237,4 +238,38 @@ func TestBuildRejectsUnknownAnalysis(t *testing.T) {
 	if _, err := j.Build(); err == nil {
 		t.Error("unknown analysis should fail at Build")
 	}
+}
+
+// FuzzJobfileLoad feeds arbitrary bytes to Load. Load must return a job
+// or an error, never panic, and a job it accepts must then Build and
+// BuildWorkflow to a value or an error, never a panic.
+func FuzzJobfileLoad(f *testing.F) {
+	for _, name := range []string{"msd128.json", "mixed_intervals.json"} {
+		data, err := os.ReadFile(filepath.Join("..", "..", "examples", "jobs", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, s := range []string{
+		validJSON,
+		`{"sim_nodes": 3, "ana_nodes": 5, "dim": 8, "steps": 4, "analyses": [{"name":"vacf","interval":2}], "cap_mode": "long+short"}`,
+		`{"nodes": 8, "dim": 16, "steps": 10, "analyses": [{"name":"msd1d"}], "policy": "bandit", "topology": "dag"}`,
+		`{"nodes": 6, "dim": 4, "steps": 10, "analyses": [{"name":"rdf"}], "topology": "time-shared", "classes": "0-1:gpu", "faults": "kill:3@4,slow:0@2x2+3"}`,
+		`{"nodes": 8, "dim": 16, "steps": 10, "analyses": [{"name":"nope"}], "min_cap_w": 300, "max_cap_w": 1}`,
+		`{"nodes": -1}`, `{"nodes": 8} {}`, `[]`, ``, `{"bogus": 1}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		j, err := Load(bytes.NewReader(data))
+		if err != nil {
+			if j != nil {
+				t.Fatalf("Load returned a job and an error: %v", err)
+			}
+			return
+		}
+		_, _ = j.Build()
+		_, _ = j.BuildWorkflow()
+	})
 }

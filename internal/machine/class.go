@@ -73,7 +73,6 @@ func presetClasses() map[string]Class {
 			MinCap:           100,
 			TDP:              320,
 			LongWindow:       cpu.Rapl.LongWindow,
-			ShortWindow:      cpu.Rapl.ShortWindow,
 			ActuationLatency: cpu.Rapl.ActuationLatency,
 			DualCapMargin:    cpu.Rapl.DualCapMargin,
 		},
@@ -103,7 +102,6 @@ func presetClasses() map[string]Class {
 			MinCap:           40,
 			TDP:              90,
 			LongWindow:       cpu.Rapl.LongWindow,
-			ShortWindow:      cpu.Rapl.ShortWindow,
 			ActuationLatency: cpu.Rapl.ActuationLatency,
 			DualCapMargin:    cpu.Rapl.DualCapMargin,
 		},

@@ -639,12 +639,7 @@ func (n *Node) Idle(d units.Seconds) Execution {
 	dom := b.rapl.Domain(i)
 	s := &b.slots[i]
 	idle := b.models[s.model].IdlePower
-	var p units.Watts
-	if dom.Instrumented() {
-		p = dom.SustainedAllowed(idle)
-	} else {
-		p, _ = dom.Clip(idle)
-	}
+	p, _ := dom.Grant(idle)
 	if p > idle {
 		p = idle
 	}

@@ -1,8 +1,9 @@
 // Package mpi is an in-process message-passing runtime with virtual
 // time, standing in for MPI in the paper's software stack. Ranks are
-// goroutines; communicators, sub-communicators (Split), collectives
-// (Barrier, Allreduce, Bcast, Gather, Allgather) and tagged point-to-point
-// messages are supported.
+// goroutines. The surface is the part of MPI the drivers use: the world
+// communicator and Split sub-communicators, the collectives Barrier,
+// AllreduceSum, AllreduceMax, Bcast and Allgather (PoLiMER's per-sync
+// measurement exchange), and tagged point-to-point Send/Recv.
 //
 // # Virtual time
 //
@@ -25,22 +26,21 @@
 // # Scale
 //
 // The runtime is built to stay tractable at 4096+ ranks (see DESIGN.md,
-// "Scaling the substrate"). Collectives use a generation-gated, sharded
-// rendezvous: arrivals are lock-free (each member writes its own scratch
-// slot and decrements an atomic counter), the last arriver reduces and
-// publishes, and waiters park on a plain channel receive — never a
-// select, whose per-case lock on a shared cancellation channel would
-// serialize every park and wake through one lock. Large groups arrive in
-// ~sqrt(k) shards: members decrement a per-shard counter and park on a
-// per-shard gate; the last member of a shard becomes its leader,
-// decrements the group counter and parks at the root; the completing
-// rank releases the root, and the woken leaders fan the release out one
-// shard gate each, in parallel. The float64 reductions the power stack
-// issues on every synchronization take a typed fast path with no
-// interface boxing and a single result copy per rank. Mailboxes index
-// messages by (source, tag), so a receive matches in O(1) regardless of
-// backlog and a send wakes at most the one receiver waiting on that
-// pair.
+// "Scaling the substrate"). Groups below 2048 members rendezvous under
+// one mutex and condition variable, which makes a small-communicator
+// collective allocation-free. Larger groups use a generation-gated,
+// sharded rendezvous: arrivals are lock-free (each member writes its own
+// scratch slot and decrements an atomic counter in one of ~sqrt(k)
+// shards), the last member of a shard becomes its leader and parks at
+// the root, the completing rank reduces, publishes and releases the
+// root, and the woken leaders fan the release out one shard gate each.
+// Waiters park on a plain channel receive, never a select, whose
+// per-case lock on a shared cancellation channel would serialize every
+// park and wake through one lock. The float64 reductions take a typed
+// path with no interface boxing and one result copy per rank. Mailboxes
+// index messages by (source, tag), so a receive matches in O(1)
+// regardless of backlog and a send wakes at most the one receiver
+// waiting on that pair.
 package mpi
 
 import (
@@ -258,10 +258,6 @@ type Rank struct {
 	// broadcast it — the cond-path analogue of parked, keeping
 	// cancellation registry-free.
 	condG atomic.Pointer[group]
-
-	// lastSplit is the Comm this rank's most recent Split returned,
-	// reused when a repeat Split resolves to the same (cached) group.
-	lastSplit *Comm
 }
 
 // Run executes body on n concurrent ranks and blocks until all return.
@@ -271,14 +267,9 @@ func Run(n int, cost CostModel, body func(r *Rank)) error {
 	return RunContext(context.Background(), n, cost, nil, body)
 }
 
-// RunWithTelemetry is Run with a telemetry hub attached to the runtime:
-// collective rendezvous waits and point-to-point message counts are
-// reported to it. A nil hub is equivalent to Run.
-func RunWithTelemetry(n int, cost CostModel, tel *telemetry.Hub, body func(r *Rank)) error {
-	return RunContext(context.Background(), n, cost, tel, body)
-}
-
-// RunContext is RunWithTelemetry under a context: when ctx is cancelled,
+// RunContext is Run under a context, with an optional telemetry hub that
+// receives the collective rendezvous waits and point-to-point message
+// counts (nil reports nothing). When ctx is cancelled,
 // ranks blocked in Recv or a collective unwind promptly (via an internal
 // sentinel panic the runtime recognizes), ranks doing local work abort
 // at their next communication, and RunContext returns ctx.Err(). A rank
@@ -440,10 +431,14 @@ func (r *Rank) Send(dst, tag int, payload any, bytes int) {
 	r.rt.tel.MessageSent(bytes)
 }
 
-// Recv blocks until a message from src with the given tag is available,
-// advances the clock to the message's arrival time, and returns the
-// payload.
+// Recv blocks until a message from src (world rank) with the given tag
+// is available, advances the clock to the message's arrival time, and
+// returns the payload. Like Send, it panics on a rank outside the world:
+// no message could ever arrive from one.
 func (r *Rank) Recv(src, tag int) any {
+	if src < 0 || src >= r.rt.size {
+		panic(fmt.Sprintf("mpi: recv from invalid rank %d", src))
+	}
 	mb := r.rt.mail[r.id]
 	mb.mu.Lock()
 	q := mb.queue(pairKey{src: src, tag: tag})
@@ -523,11 +518,12 @@ type shardCounter struct {
 // group is the shared state of a communicator: its members and the
 // rendezvous scratch used by collectives.
 //
-// Arrival is lock-free: member i writes only slot i of the scratch
-// arrays and then decrements an atomic counter; the member that observes
-// zero proceeds up the tree, and the atomic counters order every slot
-// write before its reads (the sync.WaitGroup pattern). In groups of 64+
-// the counters form a two-level tree of ~sqrt(k) shards: the last
+// In groups of 2048+ members (see shardSizeFor) arrival is lock-free:
+// member i writes only slot i of the scratch arrays and then decrements
+// an atomic counter; the member that observes zero proceeds up the
+// tree, and the atomic counters order every slot write before its reads
+// (the sync.WaitGroup pattern). The counters form a two-level tree of
+// ~sqrt(k) shards: the last
 // arriver of a shard is its leader and decrements the group counter; the
 // last leader is the completer. The completer reduces, publishes into
 // the current rendezvousState, re-arms the group for the next generation
@@ -577,16 +573,6 @@ type group struct {
 	// previous generation stores it, before releasing that generation's
 	// gates; doCancel loads it to force the gates open.
 	cur atomic.Pointer[rendezvousState]
-
-	// splitPrev caches the previous Split's per-color results on this
-	// communicator. Drivers re-split the same world with the same
-	// color/key assignment once per job, so a repeat is the common case;
-	// when a color's sorted bucket matches the previous generation's,
-	// its group object is reused instead of rebuilt (identical members
-	// name the same logical communicator, and its generation counter
-	// serializes collectives exactly as a fresh group would). Written
-	// only by the completer, which runs exclusively.
-	splitPrev map[int]*splitColor
 }
 
 // shardSizeFor picks the arrival-tree fan-in for a k-member group:
@@ -663,9 +649,6 @@ func (c *Comm) Rank() int { return c.myRank }
 
 // Size returns the communicator's member count.
 func (c *Comm) Size() int { return len(c.group.members) }
-
-// WorldRankOf translates a rank in this communicator to a world rank.
-func (c *Comm) WorldRankOf(rank int) int { return c.group.members[rank] }
 
 // arrive contributes one member's (opName, payload, clock) to the
 // current collective generation and blocks until the last arriver
@@ -1003,22 +986,6 @@ func maxFloats(inputs [][]float64) []float64 {
 	return out
 }
 
-// minFloats element-wise mins the members' slices.
-func minFloats(inputs [][]float64) []float64 {
-	out := append([]float64(nil), inputs[0]...)
-	for _, xs := range inputs[1:] {
-		if len(xs) != len(out) {
-			panic("mpi: allreduce length mismatch")
-		}
-		for i, x := range xs {
-			if x < out[i] {
-				out[i] = x
-			}
-		}
-	}
-	return out
-}
-
 // Barrier blocks until all members arrive; all leave at the merged
 // clock plus the collective cost.
 func (c *Comm) Barrier() {
@@ -1034,11 +1001,6 @@ func (c *Comm) AllreduceSum(vals []float64) []float64 {
 // AllreduceMax element-wise maxes float64 slices across members.
 func (c *Comm) AllreduceMax(vals []float64) []float64 {
 	return c.rendezvousFloats("allreduce-max", vals, maxFloats)
-}
-
-// AllreduceMin element-wise mins float64 slices across members.
-func (c *Comm) AllreduceMin(vals []float64) []float64 {
-	return c.rendezvousFloats("allreduce-min", vals, minFloats)
 }
 
 // Bcast distributes root's payload (of modeled size bytes) to all
@@ -1061,73 +1023,16 @@ func (c *Comm) Allgather(payload any, bytes int) []any {
 	return res.([]any)
 }
 
-// Gather collects payloads at root; root receives the full slice, other
-// ranks receive nil. (All ranks still synchronize, matching MPI_Gather's
-// completion semantics under the conservative clock model.)
-func (c *Comm) Gather(root int, payload any, bytes int) []any {
-	res := c.rendezvous("gather", payload, bytes, func(inputs []any) any {
-		return append([]any(nil), inputs...)
-	})
-	if c.myRank != root {
-		return nil
-	}
-	return res.([]any)
-}
-
 // splitKey carries one rank's Split contribution.
 type splitKey struct {
 	color, key, world, rank int
 }
 
-// splitSerialMax bounds the communicator size for which the completer
-// builds every per-color group itself inside the reduce. Above it the
-// serial work is deferred: the completer only buckets contributions by
-// color, and each color's group is built after the wakeup by the first
-// of its members to claim it (see splitColor).
-const splitSerialMax = 64
-
-// splitColor is one color's deferred group construction. The reduce
-// buckets the contributions; after the rendezvous releases, every
-// member of the color races a claim, the winner sorts the bucket by
-// (key, old rank), builds the group and opens the gate, and the rest
-// wait on it. The builder never blocks between claim and release, so
-// waiters cannot hang even when the run is being cancelled.
+// splitColor is one color's resolved Split result: the contributions
+// sorted by (key, old rank) and the group built from them.
 type splitColor struct {
-	sks     []splitKey // sorted by (key, rank) once built
-	claimed atomic.Bool
-	done    gate
-	group   *group
-	// prev is this color's result from the parent's previous Split, if
-	// any; the builder reuses prev.group when the sorted buckets match,
-	// then clears the pointer so generations do not chain.
-	prev *splitColor
-}
-
-// finishSplitColor resolves a claimed color's group: sort the bucket,
-// reuse the previous generation's group when the membership is
-// unchanged, build otherwise.
-func finishSplitColor(sc *splitColor) {
-	sortSplitKeys(sc.sks)
-	if p := sc.prev; p != nil && splitKeysEqual(sc.sks, p.sks) {
-		sc.group = p.group
-	} else {
-		sc.group = buildSplitGroup(sc.sks)
-	}
-	sc.prev = nil
-}
-
-// splitKeysEqual reports whether two sorted color buckets carry the
-// same (color, key, world, rank) contributions.
-func splitKeysEqual(a, b []splitKey) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	sks   []splitKey
+	group *group
 }
 
 // sortSplitKeys orders one color's contributions by (key, old rank),
@@ -1141,19 +1046,9 @@ func sortSplitKeys(sks []splitKey) {
 	})
 }
 
-// buildSplitGroup turns a sorted color bucket into a group.
-func buildSplitGroup(sks []splitKey) *group {
-	members := make([]int, len(sks))
-	for i, sk := range sks {
-		members[i] = sk.world
-	}
-	return newGroup(members)
-}
-
 // splitRankIn locates (key, oldRank) in a sorted color bucket — the
-// caller's rank in the new communicator — in O(log k) instead of the
-// former linear scan over the member array (which summed to O(k²)
-// across a large communicator's ranks).
+// caller's rank in the new communicator — in O(log k), so locating
+// every rank of a large communicator sums to O(k log k), not O(k²).
 func splitRankIn(sks []splitKey, key, oldRank int) int {
 	i := sort.Search(len(sks), func(i int) bool {
 		if sks[i].key != key {
@@ -1171,83 +1066,34 @@ func splitRankIn(sks []splitKey, key, oldRank int) int {
 // new communicator by (key, old rank), mirroring MPI_Comm_split. Ranks
 // passing a negative color receive nil (MPI_UNDEFINED).
 //
-// Small communicators use a serial fast path (the completer builds the
-// handful of groups inside the reduce). At scale the completer only
-// buckets by color — O(k) — and the per-color sort and group
-// construction move onto the arriving ranks themselves, one builder per
-// color, so the work the last arriver serializes no longer grows with
-// the number and size of the new communicators.
+// The completer of the rendezvous buckets the contributions by color,
+// sorts each bucket and builds every new group; each rank then finds its
+// own rank in its color's sorted bucket by binary search.
 func (c *Comm) Split(color, key int) *Comm {
 	in := splitKey{color: color, key: key, world: c.rank.id, rank: c.myRank}
-	g := c.group
-	if len(g.members) <= splitSerialMax {
-		res := c.rendezvous("split", in, 16, func(inputs []any) any {
-			byColor := make(map[int][]splitKey)
-			for _, bx := range inputs {
-				sk := bx.(splitKey)
-				if sk.color < 0 {
-					continue
-				}
-				byColor[sk.color] = append(byColor[sk.color], sk)
-			}
-			colors := make(map[int]*splitColor, len(byColor))
-			for color, sks := range byColor {
-				sc := &splitColor{sks: sks, prev: g.splitPrev[color]}
-				finishSplitColor(sc)
-				colors[color] = sc
-			}
-			g.splitPrev = colors
-			return colors
-		})
-		if color < 0 {
-			return nil
-		}
-		sc := res.(map[int]*splitColor)[color]
-		return c.splitComm(sc, key)
-	}
-
 	res := c.rendezvous("split", in, 16, func(inputs []any) any {
-		prev := g.splitPrev
-		colors := make(map[int]*splitColor)
+		byColor := make(map[int][]splitKey)
 		for _, bx := range inputs {
 			sk := bx.(splitKey)
 			if sk.color < 0 {
 				continue
 			}
-			sc := colors[sk.color]
-			if sc == nil {
-				sc = &splitColor{done: newGate(), prev: prev[sk.color]}
-				if sc.prev != nil {
-					sc.sks = make([]splitKey, 0, len(sc.prev.sks))
-				}
-				colors[sk.color] = sc
-			}
-			sc.sks = append(sc.sks, sk)
+			byColor[sk.color] = append(byColor[sk.color], sk)
 		}
-		g.splitPrev = colors
+		colors := make(map[int]*splitColor, len(byColor))
+		for color, sks := range byColor {
+			sortSplitKeys(sks)
+			members := make([]int, len(sks))
+			for i, sk := range sks {
+				members[i] = sk.world
+			}
+			colors[color] = &splitColor{sks: sks, group: newGroup(members)}
+		}
 		return colors
 	})
 	if color < 0 {
 		return nil
 	}
 	sc := res.(map[int]*splitColor)[color]
-	if sc.claimed.CompareAndSwap(false, true) {
-		finishSplitColor(sc)
-		sc.done.release()
-	} else {
-		<-sc.done.ch
-	}
-	return c.splitComm(sc, key)
-}
-
-// splitComm wraps a resolved color in a Comm for this rank, reusing the
-// rank's previously returned handle when the group was reused (the two
-// are indistinguishable: same group, same rank in it).
-func (c *Comm) splitComm(sc *splitColor, key int) *Comm {
-	if lc := c.rank.lastSplit; lc != nil && lc.group == sc.group {
-		return lc
-	}
-	out := &Comm{rank: c.rank, group: sc.group, myRank: splitRankIn(sc.sks, key, c.myRank)}
-	c.rank.lastSplit = out
-	return out
+	return &Comm{rank: c.rank, group: sc.group, myRank: splitRankIn(sc.sks, key, c.myRank)}
 }

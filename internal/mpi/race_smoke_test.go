@@ -8,36 +8,53 @@ import (
 	"time"
 )
 
-// TestScaleSmoke1024 drives the full substrate surface at 1024 ranks in
-// one job: sharded collectives over the world group, Split
-// sub-communicators with their own shard layouts, and point-to-point
-// fan-in. Under -race (make check runs the package that way) this is
-// the memory-model audit of the sharded rendezvous — lock-free scratch
+// scaleSmokeRanks are the world sizes of the scale smoke tests: 1024
+// (the paper's largest partition) stays below the 2048-member shard
+// threshold and takes the cond rendezvous; 2048 is the smallest sharded
+// world, 32 shards of 64 members.
+var scaleSmokeRanks = []int{1024, 2048}
+
+// TestScaleSmoke1024 drives the full substrate surface in one job at
+// each scaleSmokeRanks size: collectives over the world group, Split
+// sub-communicators of n/8 members (below the shard threshold, so they
+// rendezvous on the cond path), and point-to-point fan-in. Under -race
+// (make check runs the package that way) the 2048-rank case is the
+// memory-model audit of the sharded rendezvous — lock-free scratch
 // writes, counter cascades, gate releases and mailbox wakeups must all
-// form clean happens-before chains at full scale.
+// form clean happens-before chains.
 func TestScaleSmoke1024(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale smoke test")
 	}
-	const n = 1024
+	for _, n := range scaleSmokeRanks {
+		t.Run(fmt.Sprintf("ranks=%d", n), func(t *testing.T) {
+			if got := shardSizeFor(n); (got < n) != (n >= 2048) {
+				t.Fatalf("shardSizeFor(%d) = %d: wrong rendezvous path for this size", n, got)
+			}
+			scaleSmoke(t, n)
+		})
+	}
+}
+
+func scaleSmoke(t *testing.T, n int) {
+	fn := float64(n)
 	err := Run(n, DefaultCost(), func(r *Rank) {
 		w := r.World()
 		me := r.WorldRank()
 		for iter := 0; iter < 3; iter++ {
 			w.Barrier()
 			sum := w.AllreduceSum([]float64{1, float64(me)})
-			if sum[0] != n || sum[1] != n*(n-1)/2 {
+			if sum[0] != fn || sum[1] != fn*(fn-1)/2 {
 				panic(fmt.Sprintf("allreduce-sum wrong at scale: %v", sum))
 			}
-			if got := w.AllreduceMax([]float64{float64(me)})[0]; got != n-1 {
+			if got := w.AllreduceMax([]float64{float64(me)})[0]; got != fn-1 {
 				panic(fmt.Sprintf("allreduce-max wrong at scale: %v", got))
 			}
 		}
 
-		// Eight column sub-communicators: 128 members each, so their
-		// groups get a shard layout of their own.
+		// Eight column sub-communicators of n/8 members each.
 		sub := w.Split(me%8, me)
-		if got := sub.AllreduceSum([]float64{1})[0]; got != n/8 {
+		if got := sub.AllreduceSum([]float64{1})[0]; got != fn/8 {
 			panic(fmt.Sprintf("sub-communicator allreduce wrong: %v", got))
 		}
 		sub.Barrier()
@@ -61,15 +78,23 @@ func TestScaleSmoke1024(t *testing.T) {
 	}
 }
 
-// TestScaleSmokeCancel1024 parks 1023 ranks in a barrier that can never
+// TestScaleSmokeCancel1024 parks n-1 ranks in a barrier that can never
 // complete (rank 0 never arrives — it is blocked in a receive with no
-// matching send) and cancels: every shard gate and the mailbox must be
+// matching send) and cancels, at each scaleSmokeRanks size: the cond
+// waiters (1024) or every shard gate (2048) and the mailbox must be
 // force-opened, and the job must return the context error promptly.
 func TestScaleSmokeCancel1024(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale smoke test")
 	}
-	const n = 1024
+	for _, n := range scaleSmokeRanks {
+		t.Run(fmt.Sprintf("ranks=%d", n), func(t *testing.T) {
+			scaleSmokeCancel(t, n)
+		})
+	}
+}
+
+func scaleSmokeCancel(t *testing.T, n int) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {

@@ -11,9 +11,11 @@ import (
 func ExampleDomain_SetLongCap() {
 	d := rapl.MustNewDomain(rapl.Theta())
 	d.SetLongCap(110)
-	fmt.Printf("before actuation: %v\n", d.SustainedAllowed(180))
+	before, _ := d.Grant(180)
+	fmt.Printf("before actuation: %v\n", before)
 	d.Advance(0.02, 100) // 20 ms pass
-	fmt.Printf("after actuation: %v\n", d.SustainedAllowed(180))
+	after, _ := d.Grant(180)
+	fmt.Printf("after actuation: %v\n", after)
 	// Output:
 	// before actuation: 180.0 W
 	// after actuation: 110.0 W

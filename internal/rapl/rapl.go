@@ -5,17 +5,23 @@
 //
 // The simulation reproduces the RAPL properties the paper depends on:
 //
-//   - a long-term power cap enforced as a moving average over a 1 s
-//     window (so brief excursions above the cap are allowed while the
-//     window average remains below it);
-//   - an optional short-term cap with a ~9.766 ms window that bounds
-//     instantaneous draw and, when combined with the long cap, causes
-//     RAPL to regulate slightly below the requested limit;
+//   - sustained enforcement of the long-term power cap: a workload draws
+//     at most min(demand, TDP, cap) — phases run far longer than the 1 s
+//     averaging window, so the window's transient headroom never applies
+//     (Clip, Grant);
+//   - an optional short-term cap that bounds draw directly and, when
+//     combined with the long cap, makes RAPL regulate slightly below the
+//     requested limit;
 //   - an actuation latency (~10 ms on Theta) between writing a new cap
 //     and the cap taking effect;
 //   - hardware bounds: caps are clamped to [MinCap, TDP] (98 W and 215 W
 //     on Theta's KNL 7230);
 //   - monotonically increasing energy counters used for power monitoring.
+//
+// A domain with a telemetry site attached also keeps the 1 s moving
+// average of its draw and reports each excursion of that average above
+// the cap target as one BudgetViolation event. The window only reports;
+// it never changes what a workload may draw.
 //
 // Time is virtual: callers advance the domain explicitly with the power
 // actually drawn, exactly as the machine model integrates phase execution.
@@ -39,11 +45,9 @@ type Config struct {
 	MinCap units.Watts
 	// TDP is the thermal design power and highest cap (215 W on Theta).
 	TDP units.Watts
-	// LongWindow is the averaging window of the long-term cap (1 s).
+	// LongWindow is the averaging window of the long-term cap (1 s),
+	// over which a telemetry-attached domain reports violations.
 	LongWindow units.Seconds
-	// ShortWindow is the averaging window of the short-term cap
-	// (9.766 ms on Theta).
-	ShortWindow units.Seconds
 	// ActuationLatency is the delay between a cap write and the cap
 	// taking effect (~10 ms on Theta).
 	ActuationLatency units.Seconds
@@ -52,15 +56,6 @@ type Config struct {
 	// paper observes that "RAPL limits the power slightly below the
 	// requested power" in that configuration.
 	DualCapMargin float64
-	// SustainedOnly declares that the domain's consumers only query the
-	// sustained enforcement level (SustainedAllowed), never the
-	// transient window behaviour (Allowed, WindowAverage). The domain
-	// then skips the per-Advance moving-average bookkeeping — unless a
-	// telemetry site is attached, which needs the window to report
-	// enforcement violations. The co-simulated cluster sets this: the
-	// phase execution model integrates whole phases, far longer than
-	// the 1 s window, so transient headroom never applies.
-	SustainedOnly bool
 }
 
 // Theta returns the RAPL configuration of a Theta KNL 7230 node.
@@ -69,7 +64,6 @@ func Theta() Config {
 		MinCap:           98,
 		TDP:              215,
 		LongWindow:       1.0,
-		ShortWindow:      0.009766,
 		ActuationLatency: 0.010,
 		DualCapMargin:    0.02,
 	}
@@ -108,7 +102,7 @@ type pendingCap struct {
 // through one contiguous array instead of chasing one heap object per
 // domain; the rarely touched state (pending writes, windows, telemetry)
 // sits in side slices. A Domain is a view onto one slot; every rule
-// (pending-write activation, clamping, the enforcement window) is
+// (pending-write activation, clamping, the violation window) is
 // implemented once, on the slot, and the views only forward to it.
 type Bank struct {
 	// cfgs holds the distinct configurations in the bank: a population
@@ -120,7 +114,7 @@ type Bank struct {
 	capWrites []int
 
 	// win holds the slots' moving-average windows, one per slot; nil
-	// until some slot keeps one (see slot.windowed).
+	// until some slot keeps one (see slot.sited).
 	win []window
 
 	// Telemetry hooks (nil-safe, attached via Domain.SetTelemetry). A
@@ -143,7 +137,7 @@ type slot struct {
 	// target is the level the sustained rule regulates to under the
 	// effective caps (see regTarget). due is the clock value from which
 	// an advance must take the checked path: the activation time of the
-	// earliest pending write (+Inf when none), or -Inf on a windowed
+	// earliest pending write (+Inf when none), or -Inf on a sited
 	// slot, whose every advance folds the window. Pending writes are
 	// activated as soon as they fall due, so the effective caps are
 	// always current and reads never consult the queue.
@@ -151,15 +145,13 @@ type slot struct {
 	due    units.Seconds
 	tdp    units.Watts
 	cfg    int32
-	// windowed marks a slot that keeps the long-term moving-average
-	// window: not declared SustainedOnly, or carrying a telemetry site
-	// (violation reporting reads the window). sited marks a site.
-	windowed bool
-	sited    bool
+	// sited marks a slot with a telemetry site. Only such a slot keeps
+	// the moving-average window, which violation reporting reads.
+	sited bool
 }
 
-// window is one slot's moving-average bookkeeping for long-term
-// enforcement.
+// window is one sited slot's moving average of its draw over the
+// long-term window.
 type window struct {
 	samples []sample
 	j       units.Joules
@@ -229,7 +221,7 @@ func (b *Bank) Add(cfg Config) (*Domain, error) {
 	if b.win != nil {
 		b.win = append(b.win, window{})
 	}
-	b.setWindowed(i)
+	b.setDue(i)
 	return &b.doms[i], nil
 }
 
@@ -244,22 +236,10 @@ func (b *Bank) Reset() {
 	}
 }
 
-// setWindowed re-derives whether slot i keeps its window, allocating
-// the bank's windows on first need.
-func (b *Bank) setWindowed(i int) {
-	s := &b.slots[i]
-	s.sited = b.site[i] != nil
-	s.windowed = !b.cfgs[s.cfg].SustainedOnly || s.sited
-	if s.windowed && b.win == nil {
-		b.win = make([]window, len(b.doms))
-	}
-	b.setDue(i)
-}
-
 // setDue re-derives slot i's due time from its pending writes.
 func (b *Bank) setDue(i int) {
 	s := &b.slots[i]
-	if s.windowed {
+	if s.sited {
 		s.due = units.Seconds(math.Inf(-1))
 		return
 	}
@@ -295,15 +275,20 @@ func (d *Domain) Config() Config { return *d.b.cfg(d.i) }
 func (d *Domain) TDP() units.Watts { return d.s.tdp }
 
 // SetTelemetry attaches a telemetry hub: cap writes, throttle
-// engagements and enforcement-window violations are reported under the
-// given label. Metrics cover every attached domain; structured events
-// are emitted only when eventful is true, so a driver can restrict the
-// event stream to one representative node per partition. A nil hub
-// detaches.
+// engagements and moving-average window violations are reported under
+// the given label. Metrics cover every attached domain; structured
+// events are emitted only when eventful is true, so a driver can
+// restrict the event stream to one representative node per partition.
+// A nil hub detaches.
 func (d *Domain) SetTelemetry(h *telemetry.Hub, name string, eventful bool) {
-	d.b.site[d.i] = h.CapSiteFor(name, eventful)
-	d.b.telName[d.i] = name
-	d.b.setWindowed(d.i)
+	b, i := d.b, d.i
+	b.site[i] = h.CapSiteFor(name, eventful)
+	b.telName[i] = name
+	b.slots[i].sited = b.site[i] != nil
+	if b.slots[i].sited && b.win == nil {
+		b.win = make([]window, len(b.doms))
+	}
+	b.setDue(i)
 }
 
 // Now returns the domain's current virtual time.
@@ -338,7 +323,7 @@ func (b *Bank) setCap(i int, w units.Watts, short bool) {
 	b.pending[i] = append(b.pending[i], pendingCap{value: w, applyAt: at, shortCap: short})
 	if at <= s.now {
 		b.applyPending(i)
-	} else if !s.windowed {
+	} else if !s.sited {
 		s.due = min(s.due, at)
 	}
 	if s.sited {
@@ -376,7 +361,7 @@ func (b *Bank) applyPending(i int) {
 	}
 	b.pending[i] = remaining
 	s.target = regTarget(s.long, s.short, b.cfgs[s.cfg].DualCapMargin)
-	if !s.windowed {
+	if !s.sited {
 		s.due = due
 	}
 }
@@ -414,73 +399,8 @@ func (b *Bank) noteThrottle(i int, demand, allowed units.Watts) {
 	}
 }
 
-// windowAvg returns slot i's average power over the long-term window.
-func (b *Bank) windowAvg(i int) units.Watts {
-	if b.win == nil || b.win[i].len <= 0 {
-		return 0
-	}
-	return units.AvgPower(b.win[i].j, b.win[i].len)
-}
-
-// Allowed returns the power the domain permits a workload demanding
-// demand Watts to draw at the current instant. Enforcement model:
-//
-//   - with no caps, draw is bounded only by min(demand, TDP);
-//   - with a long cap, draw above the cap is permitted while the
-//     window average remains below the cap (transient headroom), and
-//     limited to the cap once the window is saturated;
-//   - a short cap bounds instantaneous draw directly;
-//   - with both caps set, regulation targets cap*(1-DualCapMargin).
-func (d *Domain) Allowed(demand units.Watts) units.Watts {
-	b, i := d.b, d.i
-	s := &b.slots[i]
-	allowed := demand
-	if allowed > s.tdp {
-		allowed = s.tdp
-	}
-	if s.long > 0 {
-		if b.windowAvg(i) >= s.target {
-			// Window saturated: regulate to the target.
-			if allowed > s.target {
-				allowed = s.target
-			}
-		} else {
-			// Transient headroom: permit short excursions bounded by
-			// the short cap (or TDP if none).
-			limit := s.tdp
-			if s.short > 0 {
-				limit = units.Watts(float64(s.short) * (1 - b.cfgs[s.cfg].DualCapMargin))
-			}
-			if allowed > limit {
-				allowed = limit
-			}
-		}
-	} else if s.short > 0 {
-		if allowed > s.short {
-			allowed = s.short
-		}
-	}
-	if allowed < 0 {
-		allowed = 0
-	}
-	b.noteThrottle(i, demand, allowed)
-	return allowed
-}
-
-// SustainedAllowed returns the power a workload demanding demand Watts
-// may draw when executing for much longer than the enforcement windows:
-// the transient headroom of the moving average is irrelevant at that
-// horizon, so caps apply directly (with the dual-cap margin). The
-// machine model uses this for phase execution; Allowed models the
-// instantaneous (window-dependent) behaviour.
-func (d *Domain) SustainedAllowed(demand units.Watts) units.Watts {
-	allowed, _ := d.Grant(demand)
-	return allowed
-}
-
-// Grant is SustainedAllowed plus the dual-cap regulation flag in one
-// call: Clip, with throttle engagements reported to an attached
-// telemetry hub.
+// Grant is the sustained enforcement rule as a workload meets it: Clip,
+// with throttle engagements reported to an attached telemetry hub.
 func (d *Domain) Grant(demand units.Watts) (allowed units.Watts, dual bool) {
 	allowed, dual = d.Clip(demand)
 	if d.s.sited {
@@ -520,8 +440,8 @@ func (d *Domain) Clip(demand units.Watts) (allowed units.Watts, dual bool) {
 func (d *Domain) Instrumented() bool { return d.s.sited }
 
 // Advance moves virtual time forward by dt with the domain drawing p
-// Watts throughout, updating the energy counter and the enforcement
-// window, and activating the cap writes that fall due. dt must be
+// Watts throughout, updating the energy counter (and the window of a
+// sited domain), and activating the cap writes that fall due. dt must be
 // non-negative.
 func (d *Domain) Advance(dt units.Seconds, p units.Watts) {
 	if !d.TryAdvance(dt, p) {
@@ -530,8 +450,8 @@ func (d *Domain) Advance(dt units.Seconds, p units.Watts) {
 }
 
 // TryAdvance is Advance's common case, small enough to inline into an
-// execution loop: a positive step that activates no pending write on a
-// domain that keeps no window only moves the clock and integrates the
+// execution loop: a positive step that activates no pending write on an
+// unsited domain only moves the clock and integrates the
 // energy. It reports false, changing nothing, when the step needs
 // Advance's checked path instead.
 func (d *Domain) TryAdvance(dt units.Seconds, p units.Watts) bool {
@@ -546,8 +466,8 @@ func (d *Domain) TryAdvance(dt units.Seconds, p units.Watts) bool {
 }
 
 // advance is Advance's checked path on slot i: a negative or zero
-// step, pending writes falling due, and the window fold of a slot that
-// keeps one.
+// step, pending writes falling due, and the window fold of a sited
+// slot.
 func (b *Bank) advance(i int, dt units.Seconds, p units.Watts) {
 	if dt < 0 {
 		panic("rapl: negative time advance")
@@ -561,7 +481,7 @@ func (b *Bank) advance(i int, dt units.Seconds, p units.Watts) {
 	if len(b.pending[i]) > 0 {
 		b.applyPending(i)
 	}
-	if s.windowed {
+	if s.sited {
 		b.advanceWindow(i, dt, p)
 	}
 }
@@ -600,30 +520,24 @@ func (b *Bank) advanceWindow(i int, dt units.Seconds, p units.Watts) {
 		w.samples = w.samples[:n]
 	}
 
-	// Enforcement-window violation telemetry: the window average rising
-	// above the effective cap target (beyond a small tolerance) is
-	// reported once per excursion.
-	if s := b.site[i]; s != nil {
-		if target := b.slots[i].target; target > 0 {
-			const tolerance = 1.02
-			if avg := b.windowAvg(i); float64(avg) > float64(target)*tolerance {
-				if !b.violating[i] {
-					b.violating[i] = true
-					s.BudgetViolation(float64(b.slots[i].now), b.telName[i], float64(avg), float64(target))
-				}
-			} else {
-				b.violating[i] = false
+	// Violation telemetry: the window average rising above the
+	// effective cap target (beyond a small tolerance) is reported once
+	// per excursion.
+	if target := b.slots[i].target; target > 0 {
+		const tolerance = 1.02
+		if avg := units.AvgPower(w.j, w.len); float64(avg) > float64(target)*tolerance {
+			if !b.violating[i] {
+				b.violating[i] = true
+				b.site[i].BudgetViolation(float64(b.slots[i].now), b.telName[i], float64(avg), float64(target))
 			}
+		} else {
+			b.violating[i] = false
 		}
 	}
 }
 
-// WindowAverage exposes the long-window average power, mainly for tests
-// and monitoring.
-func (d *Domain) WindowAverage() units.Watts { return d.b.windowAvg(d.i) }
-
 // Reset returns the domain to its just-constructed state — virtual time
-// zero, zero energy, no caps, empty enforcement window — while keeping
+// zero, zero energy, no caps, empty window — while keeping
 // the configuration, the telemetry attachment and the backing arrays,
 // so pooled episodes reuse one Domain without reallocating its window
 // or pending-write storage. A reset domain is indistinguishable from

@@ -82,6 +82,37 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// FuzzDecode feeds arbitrary bytes to Decode. Decode must return an
+// event or an error, never panic, and an event it accepts must encode
+// byte-identically to the encoding/json oracle and decode back to itself
+// (JSON decoding already replaced any invalid UTF-8 with U+FFFD).
+func FuzzDecode(f *testing.F) {
+	for _, e := range allEvents {
+		line, err := Encode(e)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(line)
+	}
+	for _, s := range []string{
+		"not json", `{"kind":"NoSuchEvent","data":{}}`, `{"kind":"CapWritten","data":{"t":"x"}}`,
+		`{"kind":"CapWritten"}`, `{"kind":"SyncBarrier","data":null}`, `{"kind":"BudgetViolation","data":{"t":-0,"node":"\ud800"}}`,
+		`{"kind":"BudgetShare","data":{"epoch":1e30}}`, ``,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		ev, err := Decode(line)
+		if err != nil {
+			if ev != nil {
+				t.Fatalf("Decode(%q) returned an event and an error: %v", line, err)
+			}
+			return
+		}
+		checkEncode(t, ev, true)
+	})
+}
+
 // TestKindsAreUnique guards against two event types claiming the same
 // envelope tag, which would corrupt Decode dispatch.
 func TestKindsAreUnique(t *testing.T) {
